@@ -1,5 +1,6 @@
 //! Micro-benchmarks of the ORAM protocol layer: controller access
-//! throughput per duplication policy, stash primitives — and a hard
+//! throughput per duplication policy, stash primitives, an eviction-heavy
+//! duplication scenario, a stash-capacity sweep — and a hard
 //! zero-allocation check over the steady-state access loop.
 //!
 //! Run with `cargo bench --bench protocol`. The allocation check exits
@@ -11,6 +12,7 @@ use oram_protocol::{
     Block, BlockAddr, DupPolicy, LeafLabel, OramConfig, OramController, PosMapSelect, Request,
     Stash,
 };
+use oram_util::Rng64;
 use std::hint::black_box;
 
 #[global_allocator]
@@ -65,6 +67,78 @@ fn eviction_path() {
         black_box(ctl.access(Request::read(BlockAddr::new(i))))
     });
     println!("{r}");
+}
+
+/// An eviction-heavy access mix shaped like the `replay-dyn-tp` benchmark
+/// workload: L=14, Z=5, M=200, dynamic partitioning with a 3-bit DRI
+/// counter, about 30% dummy requests (timing protection), 60% of the real
+/// requests to a hot tenth of the working set, 30% writes. After warmup
+/// the stash is full of shadows, so a path write offers up to about 200
+/// duplication candidates and every insert displaces a victim.
+fn eviction_dyn_tp() {
+    println!("-- eviction-heavy access, replay-dyn-tp shape (L=14 Z=5 M=200 dynamic3) --");
+    let cfg = OramConfig::paper_table1()
+        .with_levels(14)
+        .with_dup_policy(DupPolicy::Dynamic { counter_bits: 3 });
+    let mut ctl = OramController::new(cfg).unwrap();
+    const WORKING_SET: u64 = 8192;
+    ctl.prefill((0..WORKING_SET).map(|i| (BlockAddr::new(i), i)));
+    let mut rng = Rng64::seed_from_u64(7);
+    let mut step = move |ctl: &mut OramController| {
+        if rng.gen_bool(0.3) {
+            return ctl.dummy_access();
+        }
+        let addr = if rng.gen_bool(0.6) {
+            rng.below(WORKING_SET / 10)
+        } else {
+            rng.below(WORKING_SET)
+        };
+        let addr = BlockAddr::new(addr);
+        if rng.gen_bool(0.3) {
+            ctl.access(Request::write(addr, addr.raw()))
+        } else {
+            ctl.access(Request::read(addr))
+        }
+    };
+    for _ in 0..20_000 {
+        black_box(step(&mut ctl));
+    }
+    let r = bench("eviction/dyn_tp_L14_M200", 20, 2000, || black_box(step(&mut ctl)));
+    println!("{r}");
+    let stash = ctl.stash();
+    println!(
+        "  stash after run: {} of {} slots occupied, {} live, {} shadows",
+        stash.occupied(),
+        stash.capacity(),
+        stash.live(),
+        stash.shadow_entries().count()
+    );
+}
+
+/// Controller access cost as the stash capacity grows with the load held
+/// fixed. Once `M` reaches 400 the stash holds every block of the
+/// 400-block working set (live, evicted or shadow); with the eviction
+/// path O(live) the cost still stays flat in `M`.
+fn stash_capacity_sweep() {
+    println!("-- controller access vs stash capacity M, L=10 --");
+    for (name, policy) in [POLICIES[0], POLICIES[3]] {
+        for capacity in [96usize, 400, 1600] {
+            let mut cfg = OramConfig::small_test().with_levels(10).with_dup_policy(policy);
+            cfg.stash_capacity = capacity;
+            let mut ctl = OramController::new(cfg).unwrap();
+            ctl.prefill((0..400u64).map(|i| (BlockAddr::new(i), i)));
+            let mut i = 0u64;
+            for _ in 0..4000 {
+                i = (i + 17) % 400;
+                black_box(ctl.access(Request::read(BlockAddr::new(i))));
+            }
+            let r = bench(&format!("stash_capacity/{name}/M={capacity}"), 20, 2000, || {
+                i = (i + 17) % 400;
+                black_box(ctl.access(Request::read(BlockAddr::new(i))))
+            });
+            println!("{r}  [occupied {}]", ctl.stash().occupied());
+        }
+    }
 }
 
 /// The zero-allocation claim, checked: after warmup (position map grown
@@ -140,6 +214,8 @@ fn main() {
     controller_access();
     stash_ops();
     eviction_path();
+    eviction_dyn_tp();
+    stash_capacity_sweep();
     let mut ok = steady_state_allocation_check();
     ok &= recursive_plb_hit_allocation_check();
     if !ok {

@@ -234,7 +234,10 @@ impl OramController {
             path_buf: Vec::with_capacity(cfg.levels as usize + 1),
             level_reads: vec![0; cfg.levels as usize + 1],
             level_writes: vec![0; cfg.levels as usize + 1],
-            dup_queues: DupQueues::new(),
+            dup_queues: DupQueues::with_capacity(
+                cfg.levels,
+                cfg.stash_capacity + (cfg.levels as usize + 1) * cfg.z,
+            ),
             observer: None,
             telemetry: None,
             #[cfg(feature = "mutants")]
@@ -1039,12 +1042,15 @@ impl OramController {
     /// Checks the Path ORAM invariant for every current block: the live
     /// copy of each address is either in the stash or on the path to its
     /// label, and every current shadow sits strictly root-ward of its real
-    /// copy. O(tree); test/diagnostic use only.
+    /// copy. Also checks the stash's derived state (slot-class index, CAM
+    /// index, live count) against its slots. O(tree); test/diagnostic use
+    /// only.
     ///
     /// # Errors
     ///
     /// Returns a description of the first violation found.
     pub fn check_invariants(&self) -> Result<(), String> {
+        self.stash.check_invariants().map_err(|e| format!("stash: {e}"))?;
         let shape = self.shape;
         for raw in 1..=shape.bucket_count() {
             let bid = BucketId::new(raw);

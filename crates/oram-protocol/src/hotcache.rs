@@ -6,8 +6,30 @@
 //! Used. HD-Dup consults it to pick the hottest duplication candidate; an
 //! address absent from the cache has priority zero.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::types::BlockAddr;
+
+/// Source of [`HotAddressCache`] instance ids.
+static NEXT_CACHE_ID: AtomicU64 = AtomicU64::new(0);
+
+/// Identifies one state of one cache: two equal stamps guarantee equal
+/// priorities for every address, so a caller may keep priorities computed
+/// under a stamp for as long as the stamp is unchanged.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct HotStamp {
+    /// Unique per instance (a clone gets a fresh one).
+    id: u64,
+    /// Bumped by every mutation.
+    generation: u64,
+}
+
+impl HotStamp {
+    fn fresh() -> Self {
+        // Relaxed: the id only has to be unique; it publishes no other data.
+        HotStamp { id: NEXT_CACHE_ID.fetch_add(1, Ordering::Relaxed), generation: 0 }
+    }
+}
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Line {
@@ -36,11 +58,23 @@ pub struct HotCacheStats {
 /// assert_eq!(hac.priority(BlockAddr::new(1)), 2);
 /// assert_eq!(hac.priority(BlockAddr::new(9)), 0);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct HotAddressCache {
     sets: Vec<Vec<Option<Line>>>,
     ways: usize,
     stats: HotCacheStats,
+    stamp: HotStamp,
+}
+
+impl Clone for HotAddressCache {
+    fn clone(&self) -> Self {
+        HotAddressCache {
+            sets: self.sets.clone(),
+            ways: self.ways,
+            stats: self.stats,
+            stamp: HotStamp::fresh(),
+        }
+    }
 }
 
 impl HotAddressCache {
@@ -57,6 +91,7 @@ impl HotAddressCache {
             sets: vec![vec![None; ways]; sets],
             ways,
             stats: HotCacheStats::default(),
+            stamp: HotStamp::fresh(),
         }
     }
 
@@ -80,6 +115,11 @@ impl HotAddressCache {
         self.stats
     }
 
+    /// The current state stamp (see [`HotStamp`]).
+    pub(crate) fn stamp(&self) -> HotStamp {
+        self.stamp
+    }
+
     fn set_index(&self, addr: BlockAddr) -> usize {
         (addr.raw() % self.sets.len() as u64) as usize
     }
@@ -91,6 +131,7 @@ impl HotAddressCache {
         if self.sets.is_empty() {
             return;
         }
+        self.stamp.generation += 1;
         let set = self.set_index(addr);
         let lines = &mut self.sets[set];
 
@@ -138,6 +179,7 @@ impl HotAddressCache {
 
     /// Clears all lines and statistics.
     pub fn reset(&mut self) {
+        self.stamp.generation += 1;
         for set in &mut self.sets {
             set.fill(None);
         }

@@ -11,7 +11,7 @@
 //! levels `>= P` are filled by RD-Dup, slots at levels `< P` by HD-Dup.
 
 
-use crate::hotcache::HotAddressCache;
+use crate::hotcache::{HotAddressCache, HotStamp};
 use crate::tree::TreeShape;
 use crate::types::{Block, BlockAddr, LeafLabel, Version};
 
@@ -89,15 +89,70 @@ impl DupCandidate {
 /// HD-queue sorted by Hot Address Cache counters) that are cleared when the
 /// path write completes; this struct is the behavioural equivalent with a
 /// single pool and two selection orders.
+///
+/// Within one path write the eviction leaf is fixed, and so is the Hot
+/// Address Cache (it only changes when an access is issued). The pool
+/// therefore computes each candidate's common level with the leaf and its
+/// HD priority once, and links the candidate into a list per common level:
+/// a dummy slot at level `s` scans only the lists `>= s` (Rule-1), about
+/// `n / 2^s` candidates instead of all `n`. Both cached values are
+/// recomputed if a selection names a different leaf or the cache has
+/// changed since, so the pool answers exactly as a full scan would.
 #[derive(Debug, Clone, Default)]
 pub struct DupQueues {
+    /// The candidates, in the order a linear pool would hold them
+    /// (push order, disturbed only by `swap_remove`); positions break
+    /// selection ties.
     candidates: Vec<DupCandidate>,
+    /// Selection state of each candidate, parallel to `candidates`.
+    links: Vec<Link>,
+    /// `heads[l]`: the first indexed candidate whose common level with the
+    /// keyed leaf is `l`, or [`NIL`].
+    heads: Vec<u32>,
+    /// Tree depth and eviction leaf the lists are keyed to.
+    keyed: Option<(u32, LeafLabel)>,
+    /// Candidates `[0, indexed)` are linked into the lists.
+    indexed: usize,
+    /// Candidates `[0, prioritized)` hold their priority under `hot`.
+    prioritized: usize,
+    /// Hot Address Cache state the cached priorities were read from.
+    hot: Option<HotStamp>,
+}
+
+/// End of a per-level list.
+const NIL: u32 = u32::MAX;
+
+/// A candidate's selection keys and its place in its level's list.
+#[derive(Debug, Clone, Copy)]
+struct Link {
+    /// The candidate's current `real_level` (the RD key and Rule-2 bound).
+    real_level: u32,
+    /// Common level of the candidate's label with the keyed leaf.
+    common_level: u32,
+    /// Neighbours in the common level's list (positions, or [`NIL`]).
+    prev: u32,
+    next: u32,
+    /// Hot Address Cache priority (the HD key), valid below `prioritized`.
+    priority: u64,
 }
 
 impl DupQueues {
     /// An empty pool.
     pub fn new() -> Self {
         DupQueues::default()
+    }
+
+    /// An empty pool that holds `candidates` candidates for a tree of
+    /// depth `levels` without allocating. One path write enqueues at most
+    /// `M + (L+1)·Z` candidates: every stash shadow plus every block it
+    /// writes back.
+    pub fn with_capacity(levels: u32, candidates: usize) -> Self {
+        DupQueues {
+            candidates: Vec::with_capacity(candidates),
+            links: Vec::with_capacity(candidates),
+            heads: vec![NIL; levels as usize + 1],
+            ..DupQueues::default()
+        }
     }
 
     /// Number of candidates currently enqueued.
@@ -114,6 +169,13 @@ impl DupQueues {
     /// stash-resident shadow whose real copy sits in the tree).
     pub fn push(&mut self, c: DupCandidate) {
         self.candidates.push(c);
+        self.links.push(Link {
+            real_level: c.real_level,
+            common_level: 0,
+            prev: NIL,
+            next: NIL,
+            priority: 0,
+        });
     }
 
     /// RD-Dup selection: among the eligible candidates, the one whose
@@ -134,7 +196,13 @@ impl DupQueues {
     }
 
     /// [`DupQueues::select_rd`] with the chain behaviour made explicit
-    /// (`chain = false` pops the candidate instead — the ablation mode).
+    /// (`chain = false` pops the candidate instead — the ablation mode,
+    /// which moves the last candidate into the popped one's position).
+    ///
+    /// Tie-break: the largest `real_level`, and among equal levels the
+    /// candidate at the highest position — the last one pushed, unless a
+    /// pop has moved candidates since (what `Iterator::max_by_key` over
+    /// the pool returns).
     pub fn select_rd_with(
         &mut self,
         shape: &TreeShape,
@@ -142,20 +210,9 @@ impl DupQueues {
         slot_level: u32,
         chain: bool,
     ) -> Option<DupCandidate> {
-        let idx = self
-            .candidates
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.eligible_at(shape, eviction_leaf, slot_level))
-            .max_by_key(|(_, c)| c.real_level)?
-            .0;
-        let picked = self.candidates[idx];
-        if chain {
-            self.candidates[idx].real_level = slot_level;
-        } else {
-            self.candidates.swap_remove(idx);
-        }
-        Some(picked)
+        self.index(shape, eviction_leaf);
+        let idx = self.select_max(slot_level, |l| u64::from(l.real_level))?;
+        Some(self.take(idx, slot_level, chain))
     }
 
     /// HD-Dup selection: among the eligible candidates, the one with the
@@ -174,7 +231,13 @@ impl DupQueues {
     }
 
     /// [`DupQueues::select_hd`] with the chain behaviour made explicit
-    /// (`chain = false` pops the candidate instead — the ablation mode).
+    /// (`chain = false` pops the candidate instead — the ablation mode,
+    /// which moves the last candidate into the popped one's position).
+    ///
+    /// Tie-break: the highest priority, and among equal priorities the
+    /// candidate at the highest position, as for
+    /// [`DupQueues::select_rd_with`]. With the cache disabled every
+    /// priority is zero, so the highest eligible position wins.
     pub fn select_hd_with(
         &mut self,
         shape: &TreeShape,
@@ -183,25 +246,130 @@ impl DupQueues {
         hot: &HotAddressCache,
         chain: bool,
     ) -> Option<DupCandidate> {
-        let idx = self
-            .candidates
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.eligible_at(shape, eviction_leaf, slot_level))
-            .max_by_key(|(_, c)| hot.priority(c.addr))?
-            .0;
-        let picked = self.candidates[idx];
-        if chain {
-            self.candidates[idx].real_level = slot_level;
-        } else {
-            self.candidates.swap_remove(idx);
-        }
-        Some(picked)
+        self.index(shape, eviction_leaf);
+        self.prioritize(hot);
+        let idx = self.select_max(slot_level, |l| l.priority)?;
+        Some(self.take(idx, slot_level, chain))
     }
 
     /// Clears the pool (called when the path write completes).
     pub fn clear(&mut self) {
         self.candidates.clear();
+        self.links.clear();
+        self.heads.fill(NIL);
+        self.indexed = 0;
+        self.prioritized = 0;
+    }
+
+    /// Links every unindexed candidate into the list of its common level
+    /// with `leaf`, first re-keying the lists if `leaf` (or the depth) is
+    /// not the one they were built for.
+    fn index(&mut self, shape: &TreeShape, leaf: LeafLabel) {
+        let key = (shape.levels(), leaf);
+        if self.keyed != Some(key) {
+            self.keyed = Some(key);
+            self.indexed = 0;
+            self.heads.clear();
+            self.heads.resize(shape.levels() as usize + 1, NIL);
+        }
+        for pos in self.indexed..self.candidates.len() {
+            let common_level = shape.common_level(leaf, self.candidates[pos].label);
+            let head = self.heads[common_level as usize];
+            self.set_prev(head, pos as u32);
+            self.set_next(NIL, common_level, pos as u32);
+            let link = &mut self.links[pos];
+            link.common_level = common_level;
+            link.prev = NIL;
+            link.next = head;
+        }
+        self.indexed = self.candidates.len();
+    }
+
+    /// Reads the priority of every candidate not yet read under `hot`'s
+    /// current state.
+    fn prioritize(&mut self, hot: &HotAddressCache) {
+        let stamp = hot.stamp();
+        if self.hot != Some(stamp) {
+            self.hot = Some(stamp);
+            self.prioritized = 0;
+        }
+        for pos in self.prioritized..self.candidates.len() {
+            self.links[pos].priority = hot.priority(self.candidates[pos].addr);
+        }
+        self.prioritized = self.candidates.len();
+    }
+
+    /// The position of the eligible candidate with the largest `key`, the
+    /// highest position among equal keys. Rule-1 (the candidate's path
+    /// passes through the slot) is the list bound; Rule-2 (strictly
+    /// root-ward of the real copy) is checked per candidate.
+    ///
+    /// Each candidate is scored as `(key, pos)` packed into one integer,
+    /// zero when ineligible, and the scan keeps the maximum: no
+    /// data-dependent branch, which matters because eligibility is close
+    /// to a coin flip.
+    fn select_max(&self, slot_level: u32, key: impl Fn(&Link) -> u64) -> Option<usize> {
+        let mut best = 0u128;
+        for &head in self.heads.iter().skip(slot_level as usize) {
+            let mut pos = head;
+            while pos != NIL {
+                let l = &self.links[pos as usize];
+                let score = (u128::from(key(l)) << 33) | (u128::from(pos) << 1) | 1;
+                best = best.max(if l.real_level > slot_level { score } else { 0 });
+                pos = l.next;
+            }
+        }
+        (best != 0).then_some((best >> 1) as u32 as usize)
+    }
+
+    /// Returns the candidate at `idx` after a selection at `slot_level`:
+    /// chained, it stays with its effective level lowered to the slot;
+    /// otherwise it is popped with `swap_remove` semantics.
+    fn take(&mut self, idx: usize, slot_level: u32, chain: bool) -> DupCandidate {
+        let picked = self.candidates[idx];
+        if chain {
+            self.candidates[idx].real_level = slot_level;
+            self.links[idx].real_level = slot_level;
+        } else {
+            self.swap_remove(idx);
+        }
+        picked
+    }
+
+    /// `Vec::swap_remove` on the pool, keeping the lists and caches in
+    /// step: the last candidate takes position `idx`. Every candidate is
+    /// indexed here (a selection just ran).
+    fn swap_remove(&mut self, idx: usize) {
+        debug_assert_eq!(self.indexed, self.candidates.len());
+        let last = self.candidates.len() - 1;
+        let gone = self.links[idx];
+        self.set_next(gone.prev, gone.common_level, gone.next);
+        self.set_prev(gone.next, gone.prev);
+        if idx != last {
+            let moved = self.links[last];
+            self.set_next(moved.prev, moved.common_level, idx as u32);
+            self.set_prev(moved.next, idx as u32);
+        }
+        self.candidates.swap_remove(idx);
+        self.links.swap_remove(idx);
+        self.indexed = last;
+        self.prioritized = if self.prioritized > last { last } else { self.prioritized.min(idx) };
+    }
+
+    /// Sets the successor of `pos` in the list of `level`; a `pos` of
+    /// [`NIL`] sets the list head.
+    fn set_next(&mut self, pos: u32, level: u32, next: u32) {
+        match pos {
+            NIL => self.heads[level as usize] = next,
+            _ => self.links[pos as usize].next = next,
+        }
+    }
+
+    /// Sets the predecessor of `pos`, unless `pos` is [`NIL`].
+    fn set_prev(&mut self, pos: u32, prev: u32) {
+        if pos != NIL {
+            self.links[pos as usize].prev = prev;
+        }
     }
 }
 
@@ -348,6 +516,137 @@ mod tests {
             version: 1,
             real_level,
             recirculated: false,
+        }
+    }
+
+    /// The linear pool the bucketed [`DupQueues`] replaced, kept as the
+    /// reference it must agree with choice for choice.
+    #[derive(Default)]
+    struct LinearDupQueues {
+        candidates: Vec<DupCandidate>,
+    }
+
+    impl LinearDupQueues {
+        fn select_rd_with(
+            &mut self,
+            shape: &TreeShape,
+            eviction_leaf: LeafLabel,
+            slot_level: u32,
+            chain: bool,
+        ) -> Option<DupCandidate> {
+            let idx = self
+                .candidates
+                .iter()
+                .enumerate()
+                .filter(|(_, c)| c.eligible_at(shape, eviction_leaf, slot_level))
+                .max_by_key(|(_, c)| c.real_level)?
+                .0;
+            Some(self.take(idx, slot_level, chain))
+        }
+
+        fn select_hd_with(
+            &mut self,
+            shape: &TreeShape,
+            eviction_leaf: LeafLabel,
+            slot_level: u32,
+            hot: &HotAddressCache,
+            chain: bool,
+        ) -> Option<DupCandidate> {
+            let idx = self
+                .candidates
+                .iter()
+                .enumerate()
+                .filter(|(_, c)| c.eligible_at(shape, eviction_leaf, slot_level))
+                .max_by_key(|(_, c)| hot.priority(c.addr))?
+                .0;
+            Some(self.take(idx, slot_level, chain))
+        }
+
+        fn take(&mut self, idx: usize, slot_level: u32, chain: bool) -> DupCandidate {
+            let picked = self.candidates[idx];
+            if chain {
+                self.candidates[idx].real_level = slot_level;
+            } else {
+                self.candidates.swap_remove(idx);
+            }
+            picked
+        }
+    }
+
+    #[test]
+    fn bucketed_selection_matches_linear_reference() {
+        use oram_util::Rng64;
+        let shape = TreeShape::new(6, 4);
+        let levels = shape.levels();
+        // (sets, ways): a small cache (few distinct counts, many ties at
+        // zero) and a disabled one (every priority zero).
+        for (seed, chain, (sets, ways)) in [
+            (1u64, true, (4usize, 2usize)),
+            (2, false, (4, 2)),
+            (3, true, (0, 0)),
+            (4, false, (0, 0)),
+            (5, false, (1, 1)),
+        ] {
+            let mut rng = Rng64::seed_from_u64(seed);
+            let mut hot = [HotAddressCache::new(sets, ways), HotAddressCache::new(sets, ways)];
+            let mut which = 0;
+            // A preallocated pool and a default one that must grow.
+            for mut q in [DupQueues::with_capacity(levels, 64), DupQueues::new()] {
+                let mut r = LinearDupQueues::default();
+                let mut leaf = LeafLabel::new(rng.below(shape.leaf_count()));
+                for _ in 0..6_000 {
+                    match rng.below(20) {
+                        0..=7 => {
+                            let c = DupCandidate {
+                                addr: BlockAddr::new(rng.below(24)),
+                                label: LeafLabel::new(rng.below(shape.leaf_count())),
+                                data: rng.next_u64(),
+                                version: rng.below(4),
+                                real_level: rng.below(u64::from(levels) + 2) as u32,
+                                recirculated: rng.gen_bool(0.5),
+                            };
+                            q.push(c);
+                            r.candidates.push(c);
+                        }
+                        8..=11 => {
+                            let level = rng.below(u64::from(levels) + 2) as u32;
+                            assert_eq!(
+                                q.select_rd_with(&shape, leaf, level, chain),
+                                r.select_rd_with(&shape, leaf, level, chain)
+                            );
+                        }
+                        12..=15 => {
+                            let level = rng.below(u64::from(levels) + 2) as u32;
+                            assert_eq!(
+                                q.select_hd_with(&shape, leaf, level, &hot[which], chain),
+                                r.select_hd_with(&shape, leaf, level, &hot[which], chain)
+                            );
+                        }
+                        16 => hot[which].observe(BlockAddr::new(rng.below(24))),
+                        17 => which = 1 - which,
+                        18 => match rng.below(8) {
+                            0 => {
+                                q.clear();
+                                r.candidates.clear();
+                            }
+                            // Clones start equal and then diverge.
+                            1 => hot[1 - which] = hot[which].clone(),
+                            _ => leaf = LeafLabel::new(rng.below(shape.leaf_count())),
+                        },
+                        _ => {
+                            // A different depth re-keys the pool too.
+                            let other = TreeShape::new(levels + 1, 4);
+                            let leaf2 = LeafLabel::new(rng.below(other.leaf_count()));
+                            assert_eq!(
+                                q.select_rd_with(&other, leaf2, 2, chain),
+                                r.select_rd_with(&other, leaf2, 2, chain)
+                            );
+                        }
+                    }
+                    assert_eq!(q.candidates, r.candidates);
+                    assert_eq!(q.len(), r.candidates.len());
+                }
+            }
         }
     }
 

@@ -9,6 +9,12 @@
 //!   (Rule-3), so duplication can never worsen stash occupancy;
 //! * merge operations collapse multiple copies of the same address: the
 //!   real copy wins over shadows, newer versions win over older ones.
+//!
+//! Besides the CAM index, the stash keeps a *slot-class index*: one bitmap
+//! per entry class (live real, evicted real, shadow), updated at every slot
+//! mutation. The eviction greedy walks only the live-real bits, victim
+//! search takes the first set bit, and shadow recirculation walks only the
+//! shadow bits — so none of them scans the full capacity `M`.
 
 use oram_util::FixedAddrMap;
 
@@ -79,6 +85,9 @@ pub struct StashStats {
 pub struct Stash {
     capacity: usize,
     slots: Vec<Option<StashEntry>>,
+    /// Slot-class index: `classes[c]` holds exactly the slots whose entry
+    /// has class `c` (see [`SlotClass`]); empty slots are in none.
+    classes: [SlotSet; 3],
     /// CAM index: program address → slot. A fixed-capacity
     /// open-addressed table, so probes are two cache lines at worst and
     /// the stash never allocates after construction.
@@ -101,6 +110,7 @@ impl Stash {
         Stash {
             capacity,
             slots: vec![None; capacity],
+            classes: std::array::from_fn(|_| SlotSet::new(capacity)),
             index: FixedAddrMap::with_capacity(capacity),
             free: (0..capacity).rev().collect(),
             live_count: 0,
@@ -230,8 +240,8 @@ impl Stash {
         if upgrade {
             // A real copy arriving over a shadow keeps the data live; a
             // newer version always re-arms the entry as live if it is real.
-            self.note_replaceable_change(resident.replaceable, incoming_replaceable);
             self.slots[slot] = Some(StashEntry { block, replaceable: incoming_replaceable });
+            self.refile(slot, SlotClass::of(&resident));
             self.touch_high_water();
             InsertOutcome::MergedUpgraded
         } else {
@@ -241,20 +251,38 @@ impl Stash {
 
     fn store(&mut self, slot: usize, block: Block, replaceable: bool) {
         debug_assert!(self.slots[slot].is_none());
-        self.slots[slot] = Some(StashEntry { block, replaceable });
+        let entry = StashEntry { block, replaceable };
+        self.file(slot, SlotClass::of(&entry));
+        self.slots[slot] = Some(entry);
         self.index.insert(block.addr.raw(), slot as u32);
-        if !replaceable {
-            self.live_count += 1;
-        }
         self.touch_high_water();
     }
 
-    /// Updates the live counter for a replaceable-bit transition.
-    fn note_replaceable_change(&mut self, was: bool, now: bool) {
-        match (was, now) {
-            (true, false) => self.live_count += 1,
-            (false, true) => self.live_count -= 1,
-            _ => {}
+    /// Adds `slot` to `class` in the slot-class index. Live entries are
+    /// exactly the live-real class (shadows are always replaceable), so
+    /// the live count moves with it.
+    fn file(&mut self, slot: usize, class: SlotClass) {
+        self.classes[class as usize].insert(slot);
+        if class == SlotClass::LiveReal {
+            self.live_count += 1;
+        }
+    }
+
+    /// Removes `slot` from `class` in the slot-class index.
+    fn unfile(&mut self, slot: usize, class: SlotClass) {
+        self.classes[class as usize].remove(slot);
+        if class == SlotClass::LiveReal {
+            self.live_count -= 1;
+        }
+    }
+
+    /// Refiles the occupied `slot` after a mutation; `from` is its class
+    /// before.
+    fn refile(&mut self, slot: usize, from: SlotClass) {
+        let to = SlotClass::of(self.entry(slot));
+        if from != to {
+            self.unfile(slot, from);
+            self.file(slot, to);
         }
     }
 
@@ -268,35 +296,30 @@ impl Stash {
         }
     }
 
+    /// The slot an incoming block displaces when the stash is full: the
+    /// lowest-index evicted-real slot, else the lowest-index shadow slot.
+    ///
+    /// Evicted-real entries go first: their data lives intact in the tree,
+    /// while resident shadows double as HD-Dup's on-chip cache and the
+    /// recirculation supply for future duplication, so shadows are
+    /// victimized only when no other replaceable exists. O(M/64).
     fn find_replaceable_victim(&self) -> Option<(usize, BlockAddr)> {
-        // Prefer displacing evicted-real entries: their data lives intact
-        // in the tree, while resident shadows double as HD-Dup's on-chip
-        // cache and the recirculation supply for future duplication, so
-        // shadows are victimized only when no other replaceable exists.
-        let mut shadow_victim = None;
-        for (i, s) in self.slots.iter().enumerate() {
-            if let Some(e) = s {
-                if e.replaceable {
-                    if e.block.is_shadow() {
-                        if shadow_victim.is_none() {
-                            shadow_victim = Some((i, e.block.addr));
-                        }
-                    } else {
-                        return Some((i, e.block.addr));
-                    }
-                }
-            }
-        }
-        shadow_victim
+        let slot = self.classes[SlotClass::EvictedReal as usize]
+            .first()
+            .or_else(|| self.classes[SlotClass::Shadow as usize].first())?;
+        Some((slot, self.entry(slot).block.addr))
+    }
+
+    /// The entry in an occupied `slot`.
+    fn entry(&self, slot: usize) -> &StashEntry {
+        self.slots[slot].as_ref().expect("indexed slot must be occupied")
     }
 
     /// Frees `slot`, removing its index entry.
     fn evict_slot(&mut self, slot: usize) {
         if let Some(e) = self.slots[slot].take() {
+            self.unfile(slot, SlotClass::of(&e));
             self.index.remove(e.block.addr.raw());
-            if !e.replaceable {
-                self.live_count -= 1;
-            }
             self.free.push(slot);
         }
     }
@@ -306,10 +329,8 @@ impl Stash {
     pub fn remove(&mut self, addr: BlockAddr) -> Option<Block> {
         let slot = self.index.get(addr.raw())? as usize;
         let e = self.slots[slot].take()?;
+        self.unfile(slot, SlotClass::of(&e));
         self.index.remove(addr.raw());
-        if !e.replaceable {
-            self.live_count -= 1;
-        }
         self.free.push(slot);
         Some(e.block)
     }
@@ -327,10 +348,10 @@ impl Stash {
         let Some(entry) = self.slots[slot as usize].as_mut() else {
             return false;
         };
+        let from = SlotClass::of(entry);
         entry.block = Block::real(addr, entry.block.label, data, version);
-        let was = entry.replaceable;
         entry.replaceable = false;
-        self.note_replaceable_change(was, false);
+        self.refile(slot as usize, from);
         self.touch_high_water();
         true
     }
@@ -347,9 +368,9 @@ impl Stash {
             return false;
         };
         if entry.block.is_real() {
-            let was = entry.replaceable;
+            let from = SlotClass::of(entry);
             entry.replaceable = false;
-            self.note_replaceable_change(was, false);
+            self.refile(slot as usize, from);
             self.touch_high_water();
         }
         true
@@ -364,10 +385,10 @@ impl Stash {
         let Some(entry) = self.slots[slot as usize].as_mut() else {
             return false;
         };
+        let from = SlotClass::of(entry);
         entry.block = Block::real(addr, label, entry.block.data, version.max(entry.block.version));
-        let was = entry.replaceable;
         entry.replaceable = false;
-        self.note_replaceable_change(was, false);
+        self.refile(slot as usize, from);
         self.touch_high_water();
         true
     }
@@ -377,26 +398,26 @@ impl Stash {
     /// blocks (whose label path passes through that bucket) the one whose
     /// path stays joined with the eviction path deepest — the standard
     /// "as deep as possible" greedy of Path ORAM.
+    ///
+    /// Tie-break: deepest common level with `eviction_leaf`, then the
+    /// lowest slot index. Walks only the live-real slots, so the cost is
+    /// O(live + M/64), not O(M); each slot is scored as
+    /// `(common level, !slot)` packed into one integer (zero when it does
+    /// not fit) and the walk keeps the maximum, without a data-dependent
+    /// branch.
     pub fn select_for_eviction(
         &self,
         shape: &TreeShape,
         eviction_leaf: LeafLabel,
         slot_level: u32,
     ) -> Option<BlockAddr> {
-        let mut best: Option<(u32, BlockAddr)> = None;
-        for entry in self.slots.iter().flatten() {
-            if entry.replaceable || !entry.block.is_real() {
-                continue;
-            }
-            let cl = shape.common_level(eviction_leaf, entry.block.label);
-            if cl >= slot_level {
-                match best {
-                    Some((b, _)) if b >= cl => {}
-                    _ => best = Some((cl, entry.block.addr)),
-                }
-            }
+        let mut best = 0u64;
+        for slot in self.classes[SlotClass::LiveReal as usize].iter() {
+            let cl = shape.common_level(eviction_leaf, self.entry(slot).block.label);
+            let score = (u64::from(cl) << 32) | u64::from(!(slot as u32));
+            best = best.max(if cl >= slot_level { score } else { 0 });
         }
-        best.map(|(_, a)| a)
+        (best != 0).then(|| self.entry(!(best as u32) as usize).block.addr)
     }
 
     /// Marks `addr` as evicted (replaceable) after it has been written back
@@ -409,25 +430,134 @@ impl Stash {
     pub fn mark_evicted(&mut self, addr: BlockAddr) -> Block {
         let slot = self.index.get(addr.raw()).expect("evicted block resident") as usize;
         let entry = self.slots[slot].as_mut().expect("selected entry present");
-        let was = entry.replaceable;
+        let from = SlotClass::of(entry);
         entry.replaceable = true;
         let block = entry.block;
-        self.note_replaceable_change(was, true);
+        self.refile(slot, from);
         block
     }
 
     /// Iterates over resident shadow entries (duplication candidates whose
-    /// real copy lives in the tree).
+    /// real copy lives in the tree), in slot order. Walks only the shadow
+    /// slots.
     pub fn shadow_entries(&self) -> impl Iterator<Item = &StashEntry> {
-        self.slots
-            .iter()
-            .flatten()
-            .filter(|e| e.block.is_shadow())
+        self.classes[SlotClass::Shadow as usize].iter().map(|slot| self.entry(slot))
     }
 
     /// Iterates over all occupied entries.
     pub fn entries(&self) -> impl Iterator<Item = &StashEntry> {
         self.slots.iter().flatten()
+    }
+
+    /// Checks the derived state against `slots`: the slot-class index, the
+    /// CAM index, the free list and the live count. O(M); test and
+    /// diagnostic use only.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first mismatch found.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        let mut occupied = 0;
+        let mut live = 0;
+        for (slot, s) in self.slots.iter().enumerate() {
+            let class = s.as_ref().map(SlotClass::of);
+            for c in SlotClass::ALL {
+                if self.classes[c as usize].contains(slot) != (class == Some(c)) {
+                    return Err(format!("slot {slot} ({s:?}) misfiled in class index {c:?}"));
+                }
+            }
+            let Some(e) = s else { continue };
+            occupied += 1;
+            if !e.replaceable {
+                live += 1;
+            }
+            if e.block.is_shadow() && !e.replaceable {
+                return Err(format!("slot {slot} holds a live shadow {:?}", e.block));
+            }
+            if self.index.get(e.block.addr.raw()) != Some(slot as u32) {
+                return Err(format!("CAM index misses {} at slot {slot}", e.block.addr));
+            }
+        }
+        if self.index.len() != occupied {
+            return Err(format!("CAM index has {} keys for {occupied} entries", self.index.len()));
+        }
+        if self.free.len() + occupied != self.capacity
+            || self.free.iter().any(|&f| self.slots[f].is_some())
+        {
+            return Err(format!("free list {:?} disagrees with {occupied} occupied", self.free));
+        }
+        if self.live_count != live {
+            return Err(format!("live count {} but {live} live entries", self.live_count));
+        }
+        Ok(())
+    }
+}
+
+/// The class of an occupied stash slot, as tracked by the slot-class index.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum SlotClass {
+    /// A real block not yet written back: an eviction candidate.
+    LiveReal,
+    /// A real block whose data also lives in the tree: a first-choice victim.
+    EvictedReal,
+    /// A shadow copy (always replaceable): a fallback victim and a
+    /// recirculation candidate.
+    Shadow,
+}
+
+impl SlotClass {
+    const ALL: [SlotClass; 3] = [SlotClass::LiveReal, SlotClass::EvictedReal, SlotClass::Shadow];
+
+    fn of(e: &StashEntry) -> SlotClass {
+        if e.block.is_shadow() {
+            SlotClass::Shadow
+        } else if e.replaceable {
+            SlotClass::EvictedReal
+        } else {
+            SlotClass::LiveReal
+        }
+    }
+}
+
+/// A fixed-size bitmap over slot indices; iteration is in ascending order.
+#[derive(Debug, Clone)]
+struct SlotSet {
+    words: Vec<u64>,
+}
+
+impl SlotSet {
+    fn new(capacity: usize) -> Self {
+        SlotSet { words: vec![0; capacity.div_ceil(64)] }
+    }
+
+    fn insert(&mut self, slot: usize) {
+        self.words[slot / 64] |= 1 << (slot % 64);
+    }
+
+    fn remove(&mut self, slot: usize) {
+        self.words[slot / 64] &= !(1 << (slot % 64));
+    }
+
+    fn contains(&self, slot: usize) -> bool {
+        self.words[slot / 64] & (1 << (slot % 64)) != 0
+    }
+
+    /// The lowest slot in the set.
+    fn first(&self) -> Option<usize> {
+        self.iter().next()
+    }
+
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.words.iter().enumerate().flat_map(|(w, &word)| {
+            let mut bits = word;
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let b = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    w * 64 + b
+                })
+            })
+        })
     }
 }
 
@@ -592,5 +722,140 @@ mod tests {
         s.insert(real(3, 0, 0, 1).to_shadow());
         assert_eq!(s.stats().max_live, 2);
         assert_eq!(s.stats().max_occupied, 3);
+    }
+
+    /// The linear scans the slot-class index replaced, kept as the
+    /// reference the indexed versions must agree with.
+    impl Stash {
+        fn select_for_eviction_linear(
+            &self,
+            shape: &TreeShape,
+            eviction_leaf: LeafLabel,
+            slot_level: u32,
+        ) -> Option<BlockAddr> {
+            let mut best: Option<(u32, BlockAddr)> = None;
+            for entry in self.slots.iter().flatten() {
+                if entry.replaceable || !entry.block.is_real() {
+                    continue;
+                }
+                let cl = shape.common_level(eviction_leaf, entry.block.label);
+                if cl >= slot_level {
+                    match best {
+                        Some((b, _)) if b >= cl => {}
+                        _ => best = Some((cl, entry.block.addr)),
+                    }
+                }
+            }
+            best.map(|(_, a)| a)
+        }
+
+        fn find_replaceable_victim_linear(&self) -> Option<(usize, BlockAddr)> {
+            let mut shadow_victim = None;
+            for (i, s) in self.slots.iter().enumerate() {
+                if let Some(e) = s {
+                    if e.replaceable {
+                        if e.block.is_shadow() {
+                            if shadow_victim.is_none() {
+                                shadow_victim = Some((i, e.block.addr));
+                            }
+                        } else {
+                            return Some((i, e.block.addr));
+                        }
+                    }
+                }
+            }
+            shadow_victim
+        }
+
+        fn shadow_entries_linear(&self) -> impl Iterator<Item = &StashEntry> {
+            self.slots.iter().flatten().filter(|e| e.block.is_shadow())
+        }
+    }
+
+    /// Asserts that every indexed query answers as its linear reference.
+    fn assert_matches_reference(s: &Stash, shape: &TreeShape, rng: &mut oram_util::Rng64) {
+        s.check_invariants().expect("derived state matches slots");
+        assert_eq!(s.find_replaceable_victim(), s.find_replaceable_victim_linear());
+        assert!(s.shadow_entries().eq(s.shadow_entries_linear()));
+        for _ in 0..2 {
+            let leaf = LeafLabel::new(rng.below(shape.leaf_count()));
+            for level in 0..=shape.levels() + 1 {
+                assert_eq!(
+                    s.select_for_eviction(shape, leaf, level),
+                    s.select_for_eviction_linear(shape, leaf, level),
+                    "leaf {leaf} level {level}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn indexed_queries_match_linear_reference_under_random_ops() {
+        use oram_util::Rng64;
+        let shape = TreeShape::new(6, 4);
+        for (seed, capacity) in [(1u64, 1usize), (2, 17), (3, 63), (4, 64), (5, 65), (6, 130)] {
+            let mut rng = Rng64::seed_from_u64(seed);
+            let mut s = Stash::new(capacity);
+            let domain = (capacity as u64) * 2 + 4;
+            let mut version = 1;
+            for step in 0..4_000 {
+                let addr = BlockAddr::new(rng.below(domain));
+                let label = LeafLabel::new(rng.below(shape.leaf_count()));
+                match rng.below(10) {
+                    0..=3 => {
+                        // Insert: a fresh address into a full stash must
+                        // displace exactly the reference victim.
+                        let mut blk = Block::real(addr, label, step, rng.below(version + 1));
+                        if rng.gen_bool(0.5) {
+                            blk = blk.to_shadow();
+                        }
+                        let displaces = s.peek(addr).is_none() && s.occupied() == capacity;
+                        let want = s.find_replaceable_victim_linear();
+                        let out = s.insert(blk);
+                        match (displaces, want) {
+                            (true, Some((_, victim))) => {
+                                assert_eq!(out, InsertOutcome::ReplacedVictim(victim))
+                            }
+                            (true, None) => assert!(matches!(
+                                out,
+                                InsertOutcome::Overflow | InsertOutcome::ShadowDropped
+                            )),
+                            (false, _) => {
+                                assert!(!matches!(out, InsertOutcome::ReplacedVictim(_)))
+                            }
+                        }
+                    }
+                    4 => {
+                        version += 1;
+                        s.write(addr, step, version);
+                    }
+                    5 => {
+                        version += 1;
+                        s.relabel(addr, label, version);
+                    }
+                    6 => {
+                        s.ensure_live(addr);
+                    }
+                    7 => {
+                        s.remove(addr);
+                    }
+                    _ => {
+                        // Evict like the controller: the greedy's pick, or
+                        // any resident entry (shadows included).
+                        let level = rng.below(u64::from(shape.levels()) + 1) as u32;
+                        let pick = s.select_for_eviction(&shape, label, level).or_else(|| {
+                            let n = s.occupied() as u64;
+                            (n > 0).then(|| {
+                                s.entries().nth(rng.below(n) as usize).unwrap().block.addr
+                            })
+                        });
+                        if let Some(a) = pick {
+                            s.mark_evicted(a);
+                        }
+                    }
+                }
+                assert_matches_reference(&s, &shape, &mut rng);
+            }
+        }
     }
 }
