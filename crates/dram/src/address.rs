@@ -37,54 +37,64 @@ pub enum Interleave {
 }
 
 /// Physical-address → DRAM-location mapping.
+///
+/// Every field spans a power of two (enforced by
+/// [`DramConfig::validate`]), so decoding is shifts and masks, with no
+/// division on the per-block path.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AddressMapping {
-    channels: usize,
-    ranks: usize,
-    banks: usize,
-    bursts_per_row: usize,
+    channel_bits: u32,
+    rank_bits: u32,
+    bank_bits: u32,
+    column_bits: u32,
     interleave: Interleave,
 }
 
 impl AddressMapping {
     /// Builds the mapping for `cfg` with the given interleave order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the channel, rank, bank or bursts-per-row count is not a
+    /// power of two (a configuration [`DramConfig::validate`] rejects).
     pub fn new(cfg: &DramConfig, interleave: Interleave) -> Self {
+        let bits = |name: &str, n: usize| {
+            assert!(n.is_power_of_two(), "{name} must be a power of two, got {n}");
+            n.trailing_zeros()
+        };
         AddressMapping {
-            channels: cfg.channels,
-            ranks: cfg.ranks,
-            banks: cfg.banks,
-            bursts_per_row: cfg.bursts_per_row(),
+            channel_bits: bits("channels", cfg.channels),
+            rank_bits: bits("ranks", cfg.ranks),
+            bank_bits: bits("banks", cfg.banks),
+            column_bits: bits("bursts per row", cfg.bursts_per_row()),
             interleave,
         }
     }
 
     /// Decodes a physical block address (units of one burst / 64 B).
+    #[inline]
     pub fn decode(&self, block_addr: u64) -> Location {
         let mut a = block_addr;
-        match self.interleave {
+        // Takes the low `bits` bits of `a` as a field and shifts them off.
+        let mut field = |bits: u32| {
+            let v = (a & ((1u64 << bits) - 1)) as usize;
+            a >>= bits;
+            v
+        };
+        let channel = field(self.channel_bits);
+        let (rank, bank, column) = match self.interleave {
             Interleave::RowRankBankColChan => {
-                let channel = (a % self.channels as u64) as usize;
-                a /= self.channels as u64;
-                let column = (a % self.bursts_per_row as u64) as usize;
-                a /= self.bursts_per_row as u64;
-                let bank = (a % self.banks as u64) as usize;
-                a /= self.banks as u64;
-                let rank = (a % self.ranks as u64) as usize;
-                a /= self.ranks as u64;
-                Location { channel, rank, bank, row: a, column }
+                let column = field(self.column_bits);
+                let bank = field(self.bank_bits);
+                (field(self.rank_bits), bank, column)
             }
             Interleave::RowColRankBankChan => {
-                let channel = (a % self.channels as u64) as usize;
-                a /= self.channels as u64;
-                let bank = (a % self.banks as u64) as usize;
-                a /= self.banks as u64;
-                let rank = (a % self.ranks as u64) as usize;
-                a /= self.ranks as u64;
-                let column = (a % self.bursts_per_row as u64) as usize;
-                a /= self.bursts_per_row as u64;
-                Location { channel, rank, bank, row: a, column }
+                let bank = field(self.bank_bits);
+                let rank = field(self.rank_bits);
+                (rank, bank, field(self.column_bits))
             }
-        }
+        };
+        Location { channel, rank, bank, row: a, column }
     }
 }
 
@@ -180,6 +190,61 @@ mod tests {
             assert!(loc.column < cfg.bursts_per_row());
             assert!(seen.insert(loc), "duplicate location for {a}");
         }
+    }
+
+    /// The division decode shift decoding replaced, kept as the oracle.
+    fn decode_by_division(cfg: &DramConfig, il: Interleave, mut a: u64) -> Location {
+        let mut field = |n: usize| {
+            let v = (a % n as u64) as usize;
+            a /= n as u64;
+            v
+        };
+        let channel = field(cfg.channels);
+        let (rank, bank, column) = match il {
+            Interleave::RowRankBankColChan => {
+                let column = field(cfg.bursts_per_row());
+                let bank = field(cfg.banks);
+                (field(cfg.ranks), bank, column)
+            }
+            Interleave::RowColRankBankChan => {
+                let bank = field(cfg.banks);
+                let rank = field(cfg.ranks);
+                (rank, bank, field(cfg.bursts_per_row()))
+            }
+        };
+        Location { channel, rank, bank, row: a, column }
+    }
+
+    #[test]
+    fn shift_decode_matches_division_reference() {
+        let mut rng = oram_util::Rng64::seed_from_u64(0xDEC0DE);
+        for channels in [1, 2, 4] {
+            let cfg = DramConfig { channels, ..DramConfig::ddr3_1333() };
+            cfg.validate().unwrap();
+            for il in [Interleave::RowRankBankColChan, Interleave::RowColRankBankChan] {
+                let m = AddressMapping::new(&cfg, il);
+                for i in 0..20_000u64 {
+                    // Small, mid-range and full-width addresses.
+                    let a = match i % 3 {
+                        0 => i,
+                        1 => rng.below(1 << 32),
+                        _ => rng.next_u64(),
+                    };
+                    assert_eq!(
+                        m.decode(a),
+                        decode_by_division(&cfg, il, a),
+                        "channels={channels} {il:?} addr={a}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "banks must be a power of two")]
+    fn mapping_refuses_non_power_of_two_geometry() {
+        let cfg = DramConfig { banks: 6, ..DramConfig::ddr3_1333() };
+        let _ = AddressMapping::new(&cfg, Interleave::RowRankBankColChan);
     }
 
     #[test]

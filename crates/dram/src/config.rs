@@ -9,13 +9,14 @@
 /// clock cycles unless noted.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DramConfig {
-    /// Independent channels (each with its own bus and controller).
+    /// Independent channels (each with its own bus and controller); a
+    /// power of two.
     pub channels: usize,
-    /// Ranks per channel.
+    /// Ranks per channel; a power of two.
     pub ranks: usize,
-    /// Banks per rank.
+    /// Banks per rank; a power of two.
     pub banks: usize,
-    /// Row-buffer (page) size in bytes.
+    /// Row-buffer (page) size in bytes: a power-of-two number of bursts.
     pub row_bytes: usize,
     /// Data-bus width in bytes (8 = 64-bit).
     pub bus_bytes: usize,
@@ -33,11 +34,13 @@ pub struct DramConfig {
     pub tras: u64,
     /// Write recovery (end of write burst → precharge).
     pub twr: u64,
-    /// Write-to-read turnaround (same rank).
+    /// Write-to-read turnaround (same rank). Carried for completeness but
+    /// not enforced by the channel schedule.
     pub twtr: u64,
     /// Read-to-precharge delay.
     pub trtp: u64,
-    /// Column-to-column delay (back-to-back bursts).
+    /// Column-to-column delay (back-to-back bursts). Not enforced: bursts
+    /// are spaced by data-bus occupancy ([`DramConfig::burst_cycles`]).
     pub tccd: u64,
     /// Activate-to-activate delay, different banks same rank.
     pub trrd: u64,
@@ -111,17 +114,30 @@ impl DramConfig {
         cycles as f64 * self.tck_ns
     }
 
-    /// Validates internal consistency.
+    /// Validates internal consistency, including the power-of-two
+    /// geometry that shift-based address decoding relies on.
     ///
     /// # Errors
     ///
     /// Returns a description of the first violated constraint.
     pub fn validate(&self) -> Result<(), String> {
-        if self.channels == 0 || self.ranks == 0 || self.banks == 0 {
-            return Err("channels, ranks and banks must be positive".into());
+        if self.burst_bytes() == 0 {
+            return Err("bus width and burst length must be positive".into());
         }
         if !self.row_bytes.is_multiple_of(self.burst_bytes()) {
             return Err("row size must be a whole number of bursts".into());
+        }
+        // Address decoding is shift-and-mask (see `AddressMapping`), so
+        // every decoded field must span a power of two.
+        for (name, n) in [
+            ("channels", self.channels),
+            ("ranks", self.ranks),
+            ("banks", self.banks),
+            ("bursts per row", self.bursts_per_row()),
+        ] {
+            if !n.is_power_of_two() {
+                return Err(format!("{name} must be a power of two, got {n}"));
+            }
         }
         if self.tck_ns <= 0.0 {
             return Err("tCK must be positive".into());
@@ -178,5 +194,28 @@ mod tests {
         let mut c = DramConfig::ddr3_1333();
         c.tras = 1;
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn validation_rejects_non_power_of_two_geometry() {
+        let d = DramConfig::ddr3_1333();
+        let cases = [
+            ("channels must be a power of two, got 3", DramConfig { channels: 3, ..d }),
+            ("ranks must be a power of two, got 6", DramConfig { ranks: 6, ..d }),
+            ("banks must be a power of two, got 12", DramConfig { banks: 12, ..d }),
+            // 6 KiB rows of 64-byte bursts: 96 bursts per row.
+            ("bursts per row must be a power of two, got 96", DramConfig { row_bytes: 6144, ..d }),
+        ];
+        for (want, c) in cases {
+            let err = c.validate().unwrap_err();
+            assert_eq!(err, want);
+            assert!(!err.contains('\n'), "one-line error: {err:?}");
+        }
+        let mut c = DramConfig::ddr3_1333();
+        c.banks = 0;
+        assert_eq!(c.validate().unwrap_err(), "banks must be a power of two, got 0");
+        let mut c = DramConfig::ddr3_1333();
+        c.bus_bytes = 0;
+        assert!(c.validate().is_err(), "zero-width bus is rejected, not divided by");
     }
 }

@@ -7,10 +7,14 @@
 //! and commits it. That keeps full-path ORAM workloads (hundreds of
 //! transactions per access) fast to simulate while preserving the timing
 //! interactions that matter: row-buffer locality, bank parallelism, bus
-//! occupancy, tFAW, write turnaround and refresh.
-
-use std::collections::VecDeque;
-
+//! occupancy, tRRD/tFAW and refresh. There is no write-to-read
+//! turnaround: [`DramConfig::twtr`] and [`DramConfig::tccd`] are not read
+//! here, and back-to-back bursts are spaced by data-bus occupancy alone.
+//!
+//! The per-block path is free of pointer chasing and division: banks
+//! live in one flat `Vec` indexed `rank * banks + bank`, and queued
+//! transactions are compact entries in one reused `Vec`, threaded in
+//! arrival order by `u32` links so the FR-FCFS winner unlinks in O(1).
 
 use crate::address::Location;
 use crate::bank::{Bank, Command, RowState};
@@ -163,16 +167,114 @@ pub struct ChannelStats {
     pub refreshes: u64,
 }
 
+/// End-of-list link in the channel's transaction queue.
+const NIL: u32 = u32::MAX;
+
+/// A queued transaction in the compact form the scheduler walks: only
+/// the fields service needs, plus the intrusive link to the next-younger
+/// queued entry.
+#[derive(Debug, Clone, Copy)]
+struct Queued {
+    id: u64,
+    row: u64,
+    arrival: i64,
+    /// Flat bank index, `rank * banks + bank`.
+    bank: u32,
+    rank: u32,
+    is_write: bool,
+    /// Index of the next-younger queued entry, or [`NIL`].
+    next: u32,
+}
+
+/// The transaction queue: entries in arrival order in one reused `Vec`,
+/// threaded by `next` links so the scheduler can unlink any entry in
+/// O(1). Unlinked entries stay in the `Vec` until the queue empties,
+/// when it is cleared (keeping its capacity). Entries are unlinked only
+/// by a drain, which runs until the queue is empty, so `tail` is only
+/// read by pushes onto a queue nothing has been unlinked from.
+#[derive(Debug, Clone)]
+struct TxQueue {
+    entries: Vec<Queued>,
+    head: u32,
+    tail: u32,
+    len: usize,
+}
+
+impl TxQueue {
+    fn new() -> Self {
+        TxQueue { entries: Vec::new(), head: NIL, tail: NIL, len: 0 }
+    }
+
+    fn push(&mut self, q: Queued) {
+        assert!(self.entries.len() < NIL as usize, "channel queue index space exhausted");
+        let i = self.entries.len() as u32;
+        self.entries.push(q);
+        if self.len == 0 {
+            self.head = i;
+        } else {
+            self.entries[self.tail as usize].next = i;
+        }
+        self.tail = i;
+        self.len += 1;
+    }
+
+    /// Unlinks entry `cur`, whose predecessor in the list is `prev`
+    /// ([`NIL`] for the head), and returns it.
+    fn unlink(&mut self, prev: u32, cur: u32) -> Queued {
+        let q = self.entries[cur as usize];
+        if prev == NIL {
+            self.head = q.next;
+        } else {
+            self.entries[prev as usize].next = q.next;
+        }
+        self.len -= 1;
+        if self.len == 0 {
+            self.entries.clear();
+        }
+        q
+    }
+}
+
+/// Times of a rank's last four activates, oldest first: all that tRRD
+/// (the newest) and tFAW (the fourth newest) consult.
+#[derive(Debug, Clone, Copy, Default)]
+struct ActivateWindow {
+    times: [i64; 4],
+    count: usize,
+}
+
+impl ActivateWindow {
+    /// Earliest activate time at or after `at` that respects tRRD and
+    /// tFAW.
+    fn earliest(&self, at: i64, cfg: &DramConfig) -> i64 {
+        let mut at = at;
+        if self.count >= 1 {
+            at = at.max(self.times[3] + cfg.trrd as i64);
+        }
+        if self.count >= 4 {
+            at = at.max(self.times[0] + cfg.tfaw as i64);
+        }
+        at
+    }
+
+    fn push(&mut self, at: i64) {
+        self.times.copy_within(1.., 0);
+        self.times[3] = at;
+        self.count = (self.count + 1).min(4);
+    }
+}
+
 /// One channel: banks, queue and data-bus state.
 #[derive(Debug, Clone)]
 pub struct Channel {
     cfg: DramConfig,
-    banks: Vec<Vec<Bank>>, // [rank][bank]
-    queue: VecDeque<Transaction>,
+    /// Banks indexed `rank * banks + bank`.
+    banks: Vec<Bank>,
+    queue: TxQueue,
     /// Cycle after which the shared data bus is free.
     bus_free: i64,
     /// Recent activate times per rank (for tFAW / tRRD).
-    recent_activates: Vec<VecDeque<i64>>,
+    recent_activates: Vec<ActivateWindow>,
     /// Next refresh deadline per rank.
     next_refresh: Vec<i64>,
     stats: ChannelStats,
@@ -193,19 +295,20 @@ pub struct Channel {
 impl Channel {
     /// Creates an idle channel.
     pub fn new(cfg: DramConfig) -> Self {
+        let bank_count = cfg.ranks * cfg.banks;
         Channel {
-            banks: vec![vec![Bank::new(); cfg.banks]; cfg.ranks],
-            queue: VecDeque::new(),
+            banks: vec![Bank::new(); bank_count],
+            queue: TxQueue::new(),
             bus_free: 0,
-            recent_activates: vec![VecDeque::new(); cfg.ranks],
+            recent_activates: vec![ActivateWindow::default(); cfg.ranks],
             next_refresh: vec![cfg.trefi as i64; cfg.ranks],
             stats: ChannelStats::default(),
             energy: EnergyCounters::default(),
             batch_crit: None,
             busy_cycles: 0,
             queue_depth_hist: [0; QUEUE_DEPTH_BUCKETS],
-            bank_touches: vec![0; cfg.ranks * cfg.banks],
-            bank_busy: vec![0; cfg.ranks * cfg.banks],
+            bank_touches: vec![0; bank_count],
+            bank_busy: vec![0; bank_count],
             cfg,
         }
     }
@@ -237,7 +340,7 @@ impl Channel {
 
     /// Queue depth.
     pub fn pending(&self) -> usize {
-        self.queue.len()
+        self.queue.len
     }
 
     /// Statistics snapshot.
@@ -251,9 +354,28 @@ impl Channel {
     }
 
     /// Enqueues a transaction.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the transaction's rank or bank is outside this channel's
+    /// geometry.
     pub fn submit(&mut self, t: Transaction) {
-        self.queue_depth_hist[self.queue.len().min(QUEUE_DEPTH_BUCKETS - 1)] += 1;
-        self.queue.push_back(t);
+        assert!(
+            t.loc.rank < self.cfg.ranks && t.loc.bank < self.cfg.banks,
+            "transaction targets rank {} bank {} outside the channel",
+            t.loc.rank,
+            t.loc.bank
+        );
+        self.queue_depth_hist[self.queue.len.min(QUEUE_DEPTH_BUCKETS - 1)] += 1;
+        self.queue.push(Queued {
+            id: t.id,
+            row: t.loc.row,
+            arrival: t.arrival,
+            bank: (t.loc.rank * self.cfg.banks + t.loc.bank) as u32,
+            rank: t.loc.rank as u32,
+            is_write: t.is_write,
+            next: NIL,
+        });
     }
 
     /// Services the whole queue, returning completions in finish order.
@@ -266,7 +388,7 @@ impl Channel {
     /// bursts do not hold the shared data bus (models an in-memory XOR
     /// hub that consumes read data locally and returns a single block).
     pub fn drain_with(&mut self, now: i64, occupy_bus: bool) -> Vec<Completion> {
-        let mut done = Vec::with_capacity(self.queue.len());
+        let mut done = Vec::with_capacity(self.queue.len);
         self.drain_unordered(now, occupy_bus, |c| done.push(c));
         done.sort_by_key(|c| c.finish);
         done
@@ -281,65 +403,69 @@ impl Channel {
         occupy_bus: bool,
         mut sink: impl FnMut(Completion),
     ) {
-        while !self.queue.is_empty() {
-            let idx = self.pick_fr_fcfs();
-            let t = self.queue.remove(idx).expect("index in range");
+        while self.queue.len > 0 {
+            let (prev, cur) = self.pick_fr_fcfs();
+            let t = self.queue.unlink(prev, cur);
             let finish = self.service_one(&t, now, occupy_bus);
             sink(Completion { id: t.id, finish });
         }
     }
 
     /// FR-FCFS: the oldest transaction whose row is open wins; otherwise
-    /// the oldest overall.
-    fn pick_fr_fcfs(&self) -> usize {
-        for (i, t) in self.queue.iter().enumerate() {
-            let bank = &self.banks[t.loc.rank][t.loc.bank];
-            if bank.is_open(t.loc.row) {
-                return i;
+    /// the oldest overall. Returns `(predecessor, winner)` list indices.
+    fn pick_fr_fcfs(&self) -> (u32, u32) {
+        let entries = &self.queue.entries;
+        let mut prev = NIL;
+        let mut cur = self.queue.head;
+        while cur != NIL {
+            let q = &entries[cur as usize];
+            if self.banks[q.bank as usize].is_open(q.row) {
+                return (prev, cur);
             }
+            prev = cur;
+            cur = q.next;
         }
-        0
+        (NIL, self.queue.head)
     }
 
     /// Issues all commands needed by `t` and returns its data-finish time.
-    fn service_one(&mut self, t: &Transaction, now: i64, occupy_bus: bool) -> i64 {
+    fn service_one(&mut self, t: &Queued, now: i64, occupy_bus: bool) -> i64 {
         let cfg = self.cfg;
         let base = now.max(t.arrival);
-        self.maybe_refresh(t.loc.rank, base);
+        let flat = t.bank as usize;
+        self.maybe_refresh(t.rank as usize, base);
 
         // Row-operation interval [row_start, row_end] for attribution:
         // empty on a row hit, precharge-to-column-ready on a conflict,
         // activate-to-column-ready on a miss.
         let mut row_start = base;
         let mut row_end = base;
-        let bank_state = self.banks[t.loc.rank][t.loc.bank].state();
-        match bank_state {
-            RowState::Open(r) if r == t.loc.row => {
+        match self.banks[flat].state() {
+            RowState::Open(r) if r == t.row => {
                 self.stats.row_hits += 1;
             }
             RowState::Open(_) => {
                 self.stats.row_conflicts += 1;
-                let at = self.banks[t.loc.rank][t.loc.bank]
-                    .earliest(Command::Precharge, &cfg)
-                    .max(base);
-                self.banks[t.loc.rank][t.loc.bank].issue(Command::Precharge, at, 0, &cfg);
+                let bank = &mut self.banks[flat];
+                let at = bank.earliest(Command::Precharge, &cfg).max(base);
+                bank.issue(Command::Precharge, at, 0, &cfg);
                 self.stats.precharges += 1;
                 self.energy.precharges += 1;
-                self.activate(t.loc, base);
+                self.activate(t, base);
                 row_start = at;
-                row_end = self.banks[t.loc.rank][t.loc.bank].row_ready(&cfg);
+                row_end = self.banks[flat].row_ready(&cfg);
             }
             RowState::Idle => {
                 self.stats.row_misses += 1;
-                let act_at = self.activate(t.loc, base);
-                row_start = act_at;
-                row_end = self.banks[t.loc.rank][t.loc.bank].row_ready(&cfg);
+                row_start = self.activate(t, base);
+                row_end = self.banks[flat].row_ready(&cfg);
             }
         }
 
         // Column command: constrained by bank readiness and bus occupancy.
         let cmd = if t.is_write { Command::Write } else { Command::Read };
-        let bank_ready = self.banks[t.loc.rank][t.loc.bank].earliest(cmd, &cfg).max(base);
+        let bank = &mut self.banks[flat];
+        let bank_ready = bank.earliest(cmd, &cfg).max(base);
         // The data burst occupies the bus [issue+latency, issue+latency+burst).
         let latency = if t.is_write { cfg.cwl } else { cfg.cl } as i64;
         let use_bus = occupy_bus || t.is_write;
@@ -348,7 +474,7 @@ impl Channel {
         } else {
             bank_ready
         };
-        self.banks[t.loc.rank][t.loc.bank].issue(cmd, issue, t.loc.row, &cfg);
+        bank.issue(cmd, issue, t.row, &cfg);
         let data_start = issue + latency;
         let finish = data_start + cfg.burst_cycles() as i64;
         if use_bus {
@@ -366,7 +492,6 @@ impl Channel {
         if self.batch_crit.is_none_or(|c| finish > c.finish) {
             self.batch_crit = Some(bd);
         }
-        let flat = t.loc.rank * cfg.banks + t.loc.bank;
         self.bank_touches[flat] += 1;
         self.bank_busy[flat] += row_d + transfer_d;
 
@@ -381,29 +506,15 @@ impl Channel {
         finish
     }
 
-    /// Issues an activate respecting tRRD and tFAW for the rank, returning
-    /// the cycle the activate was committed at.
-    fn activate(&mut self, loc: Location, base: i64) -> i64 {
+    /// Issues an activate of `t`'s row respecting tRRD and tFAW for the
+    /// rank, returning the cycle the activate was committed at.
+    fn activate(&mut self, t: &Queued, base: i64) -> i64 {
         let cfg = self.cfg;
-        let mut at = self.banks[loc.rank][loc.bank]
-            .earliest(Command::Activate, &cfg)
-            .max(base);
-        {
-            let recent = &mut self.recent_activates[loc.rank];
-            if let Some(&last) = recent.back() {
-                at = at.max(last + cfg.trrd as i64);
-            }
-            if recent.len() >= 4 {
-                let fourth_last = recent[recent.len() - 4];
-                at = at.max(fourth_last + cfg.tfaw as i64);
-            }
-        }
-        self.banks[loc.rank][loc.bank].issue(Command::Activate, at, loc.row, &cfg);
-        let recent = &mut self.recent_activates[loc.rank];
-        recent.push_back(at);
-        if recent.len() > 8 {
-            recent.pop_front();
-        }
+        let bank = &mut self.banks[t.bank as usize];
+        let window = &mut self.recent_activates[t.rank as usize];
+        let at = window.earliest(bank.earliest(Command::Activate, &cfg).max(base), &cfg);
+        bank.issue(Command::Activate, at, t.row, &cfg);
+        window.push(at);
         self.stats.activates += 1;
         self.energy.activates += 1;
         at
@@ -415,27 +526,27 @@ impl Channel {
         if self.cfg.trefi == 0 {
             return;
         }
+        let cfg = self.cfg;
         while self.next_refresh[rank] <= now {
             let deadline = self.next_refresh[rank];
+            let rank_banks = &mut self.banks[rank * cfg.banks..(rank + 1) * cfg.banks];
             // Precharge any open banks in the rank.
-            for b in 0..self.cfg.banks {
-                if self.banks[rank][b].state() != RowState::Idle {
-                    let at = self.banks[rank][b]
-                        .earliest(Command::Precharge, &self.cfg)
-                        .max(deadline);
-                    self.banks[rank][b].issue(Command::Precharge, at, 0, &self.cfg);
+            for bank in rank_banks.iter_mut() {
+                if bank.state() != RowState::Idle {
+                    let at = bank.earliest(Command::Precharge, &cfg).max(deadline);
+                    bank.issue(Command::Precharge, at, 0, &cfg);
                     self.stats.precharges += 1;
                     self.energy.precharges += 1;
                 }
             }
             // The whole rank is unavailable for tRFC.
-            let resume = deadline + self.cfg.trfc as i64;
-            for b in 0..self.cfg.banks {
-                self.banks[rank][b].stall_until(resume, &self.cfg);
+            let resume = deadline + cfg.trfc as i64;
+            for bank in rank_banks.iter_mut() {
+                bank.stall_until(resume, &cfg);
             }
             self.stats.refreshes += 1;
             self.energy.refreshes += 1;
-            self.next_refresh[rank] += self.cfg.trefi as i64;
+            self.next_refresh[rank] += cfg.trefi as i64;
         }
     }
 }
@@ -564,7 +675,7 @@ mod tests {
     }
 
     #[test]
-    fn writes_then_reads_respect_turnaround() {
+    fn write_then_same_row_read_completes_in_order() {
         let c = cfg();
         let mut ch = Channel::new(c);
         ch.submit(tx(1, 0, true, &c));
@@ -573,6 +684,17 @@ mod tests {
         assert_eq!(ch.stats().writes, 1);
         assert_eq!(ch.stats().reads, 1);
         assert!(done[1].finish > done[0].finish);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the channel")]
+    fn submit_rejects_a_bank_outside_the_geometry() {
+        let c = cfg();
+        let mut ch = Channel::new(c);
+        let mut t = tx(1, 0, false, &c);
+        // Rank 0, bank `banks`: in flat indexing this would alias rank 1.
+        t.loc.bank = c.banks;
+        ch.submit(t);
     }
 
     #[test]

@@ -6,9 +6,13 @@
 //!
 //! The model covers what matters for ORAM performance studies:
 //!
-//! * JEDEC core timings (tRCD/CL/tRP/tRAS/tWR/tWTR/tRTP/tCCD/tRRD/tFAW),
+//! * JEDEC core timings (tRCD/CL/CWL/tRP/tRAS/tWR/tRTP/tRRD/tFAW),
 //!   DDR3-1333 defaults matching the paper's Table I (2 channels,
-//!   21.3 GB/s peak);
+//!   21.3 GB/s peak). Two configured timings are *not* enforced:
+//!   [`DramConfig::twtr`] (there is no write-to-read turnaround) and
+//!   [`DramConfig::tccd`] (back-to-back bursts are spaced only by
+//!   data-bus occupancy, `burst_length / 2` cycles — equal to tCCD at
+//!   DDR3's burst length of 8);
 //! * per-bank row-buffer state with FR-FCFS scheduling and data-bus
 //!   contention, so sequential path reads stream near peak bandwidth
 //!   while scattered accesses pay activate/precharge penalties;
@@ -16,6 +20,9 @@
 //!   into DRAM rows ([`SubtreeLayout`]);
 //! * refresh (tREFI/tRFC) and an energy model (per-op energies plus
 //!   background power) for the paper's Fig. 12.
+//!
+//! Channels, ranks, banks and bursts per row must be powers of two
+//! ([`DramConfig::validate`]): addresses decode by shifts and masks.
 //!
 //! ## Quick example
 //!
@@ -37,6 +44,8 @@ mod bank;
 mod config;
 mod controller;
 mod energy;
+#[cfg(test)]
+mod reference;
 mod system;
 
 pub use address::{AddressMapping, Interleave, Location, SubtreeLayout};

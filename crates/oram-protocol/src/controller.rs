@@ -387,7 +387,7 @@ impl OramController {
             for level in (0..=self.shape.levels()).rev() {
                 let bid = self.shape.bucket_on_path(label, level);
                 let bucket = self.tree.bucket_mut(bid);
-                if let Some(slot) = bucket.slots_mut().iter_mut().find(|s| s.is_dummy()) {
+                if let Some(slot) = bucket.iter_mut().find(|s| s.is_dummy()) {
                     *slot = blk;
                     self.posmap.set_site(addr, RealCopySite::Tree { level });
                     placed = true;
@@ -651,7 +651,7 @@ impl OramController {
                 self.emit(BusEvent::Bucket { bucket: bid.raw(), write: false });
             }
             for slot in 0..z {
-                let blk = self.tree.bucket(bid).slots()[slot];
+                let blk = self.tree.bucket(bid)[slot];
                 let flat = if on_chip { None } else { Some(dram_index) };
                 if !on_chip {
                     dram_index += 1;
@@ -816,7 +816,7 @@ impl OramController {
         for (level, &bid) in path.iter().enumerate() {
             let on_chip = (level as u32) < treetop;
             for slot in 0..z {
-                let blk = self.tree.bucket(bid).slots()[slot];
+                let blk = self.tree.bucket(bid)[slot];
                 if !on_chip {
                     if blk.is_real()
                         && blk.addr == addr
@@ -857,7 +857,7 @@ impl OramController {
                 self.emit(BusEvent::Bucket { bucket: bid.raw(), write: false });
             }
             for slot in 0..z {
-                let blk = self.tree.bucket(bid).slots()[slot];
+                let blk = self.tree.bucket(bid)[slot];
                 if blk.is_dummy() {
                     continue;
                 }
@@ -1005,7 +1005,7 @@ impl OramController {
                         SlotScheme::None => self.dummy_write(),
                     }
                 };
-                self.tree.bucket_mut(bid).slots_mut()[slot] = new_block;
+                self.tree.bucket_mut(bid)[slot] = new_block;
             }
         }
         self.dup_queues.clear();
@@ -1055,7 +1055,7 @@ impl OramController {
         for raw in 1..=shape.bucket_count() {
             let bid = BucketId::new(raw);
             let level = bid.level();
-            for blk in self.tree.bucket(bid).slots() {
+            for blk in self.tree.bucket(bid) {
                 if blk.is_dummy() {
                     continue;
                 }

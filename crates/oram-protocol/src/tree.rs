@@ -4,7 +4,8 @@
 //! levels (level 0 is the root, level `L` the leaves). Each node is a
 //! *bucket* of `Z` block slots. This module provides the index arithmetic —
 //! bucket ids, paths, common-prefix levels, the reverse-lexicographic
-//! eviction order — and the bucket storage itself.
+//! eviction order — and the bucket storage itself: one flat slot array,
+//! `Z` contiguous slots per bucket.
 
 
 use crate::types::{Block, LeafLabel};
@@ -254,57 +255,30 @@ fn bit_reverse(v: u64, bits: u32) -> u64 {
     v.reverse_bits() >> (64 - bits)
 }
 
-/// One bucket: a fixed array of `Z` block slots.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Bucket {
-    slots: Vec<Block>,
-}
-
-impl Bucket {
-    /// A bucket of `z` dummy slots.
-    pub fn empty(z: usize) -> Self {
-        Bucket { slots: vec![Block::DUMMY; z] }
-    }
-
-    /// Read-only view of the slots.
-    pub fn slots(&self) -> &[Block] {
-        &self.slots
-    }
-
-    /// Mutable view of the slots.
-    pub fn slots_mut(&mut self) -> &mut [Block] {
-        &mut self.slots
-    }
-
-    /// Number of non-dummy slots.
-    pub fn occupancy(&self) -> usize {
-        self.slots.iter().filter(|b| !b.is_dummy()).count()
-    }
-}
-
-/// Bucket count above which [`OramTree`] switches from a dense `Vec`
-/// to a sparse map. `2^21` buckets ≈ a few hundred MiB of dense dummy
-/// slots at Z = 5 — beyond that an all-dummy preallocation dominates
-/// memory for no benefit, since deep trees (billion-block address
-/// domains) only ever materialize the buckets a run actually touches.
+/// Bucket count above which [`OramTree`] switches from a dense slot
+/// array to a sparse map. `2^21` buckets ≈ a few hundred MiB of dense
+/// dummy slots at Z = 5 — beyond that an all-dummy preallocation
+/// dominates memory for no benefit, since deep trees (billion-block
+/// address domains) only ever materialize the buckets a run actually
+/// touches.
 const DENSE_BUCKET_LIMIT: u64 = 1 << 21;
 
-/// Physical storage behind [`OramTree`]: dense for small trees
-/// (identical layout and behavior to the original `Vec<Bucket>`),
-/// sparse for deep trees where untouched buckets stay implicit and
-/// read as the canonical empty bucket.
+/// Physical storage behind [`OramTree`]: dense for small trees, sparse
+/// for deep trees where untouched buckets stay implicit and read as the
+/// canonical empty bucket.
 #[derive(Debug, Clone)]
 enum BucketStore {
-    Dense(Vec<Bucket>),
+    /// Every slot of the tree in one array, `bucket_count × Z` long:
+    /// bucket `id` owns slots `(id − 1)·Z .. id·Z`.
+    Dense(Vec<Block>),
     Sparse {
-        map: DetHashMap<u64, Bucket>,
+        map: DetHashMap<u64, Box<[Block]>>,
         /// Shared all-dummy bucket returned for never-written ids.
-        empty: Bucket,
-        z: usize,
+        empty: Box<[Block]>,
     },
 }
 
-/// The ORAM tree storage: geometry plus the bucket array.
+/// The ORAM tree storage: geometry plus the slot array.
 ///
 /// This models the *untrusted external memory*; the simulator separately
 /// charges DRAM timing for every slot touched. Contents here are the
@@ -317,16 +291,20 @@ pub struct OramTree {
 
 impl OramTree {
     /// Creates an all-dummy tree of the given shape. Trees up to
-    /// [`DENSE_BUCKET_LIMIT`] buckets preallocate densely (unchanged
-    /// from the original representation); deeper trees store only the
-    /// buckets that are actually written, so a 2^30-address domain
-    /// costs memory proportional to the working set, not the tree.
+    /// [`DENSE_BUCKET_LIMIT`] buckets preallocate one flat slot array;
+    /// deeper trees store only the buckets that are actually written, so
+    /// a 2^30-address domain costs memory proportional to the working
+    /// set, not the tree.
     pub fn new(shape: TreeShape) -> Self {
+        Self::with_store(shape, shape.bucket_count() <= DENSE_BUCKET_LIMIT)
+    }
+
+    fn with_store(shape: TreeShape, dense: bool) -> Self {
         let z = shape.slots_per_bucket();
-        let store = if shape.bucket_count() <= DENSE_BUCKET_LIMIT {
-            BucketStore::Dense(vec![Bucket::empty(z); shape.bucket_count() as usize])
+        let store = if dense {
+            BucketStore::Dense(vec![Block::DUMMY; shape.slot_count() as usize])
         } else {
-            BucketStore::Sparse { map: DetHashMap::default(), empty: Bucket::empty(z), z }
+            BucketStore::Sparse { map: DetHashMap::default(), empty: empty_bucket(z) }
         };
         OramTree { shape, store }
     }
@@ -336,22 +314,31 @@ impl OramTree {
         self.shape
     }
 
-    /// Immutable access to a bucket. In the sparse representation a
+    /// The `Z` slots of a bucket. In the sparse representation a
     /// never-written bucket reads as all-dummy.
-    pub fn bucket(&self, id: BucketId) -> &Bucket {
+    #[inline]
+    pub fn bucket(&self, id: BucketId) -> &[Block] {
         match &self.store {
-            BucketStore::Dense(v) => &v[(id.raw() - 1) as usize],
-            BucketStore::Sparse { map, empty, .. } => map.get(&id.raw()).unwrap_or(empty),
+            BucketStore::Dense(v) => {
+                let z = self.shape.slots_per_bucket();
+                let first = (id.raw() - 1) as usize * z;
+                &v[first..first + z]
+            }
+            BucketStore::Sparse { map, empty } => map.get(&id.raw()).unwrap_or(empty),
         }
     }
 
-    /// Mutable access to a bucket (materializes it when sparse).
-    pub fn bucket_mut(&mut self, id: BucketId) -> &mut Bucket {
+    /// The `Z` slots of a bucket, mutably (materializes it when sparse).
+    #[inline]
+    pub fn bucket_mut(&mut self, id: BucketId) -> &mut [Block] {
+        let z = self.shape.slots_per_bucket();
         match &mut self.store {
-            BucketStore::Dense(v) => &mut v[(id.raw() - 1) as usize],
-            BucketStore::Sparse { map, z, .. } => {
-                let z = *z;
-                map.entry(id.raw()).or_insert_with(|| Bucket::empty(z))
+            BucketStore::Dense(v) => {
+                let first = (id.raw() - 1) as usize * z;
+                &mut v[first..first + z]
+            }
+            BucketStore::Sparse { map, .. } => {
+                map.entry(id.raw()).or_insert_with(|| empty_bucket(z))
             }
         }
     }
@@ -360,11 +347,9 @@ impl OramTree {
     /// (order-independent, so sparse iteration order cannot leak).
     fn count_blocks(&self, pred: impl Fn(&Block) -> bool) -> usize {
         match &self.store {
-            BucketStore::Dense(v) => {
-                v.iter().flat_map(|b| b.slots()).filter(|b| pred(b)).count()
-            }
+            BucketStore::Dense(v) => v.iter().filter(|b| pred(b)).count(),
             BucketStore::Sparse { map, .. } => {
-                map.values().flat_map(|b| b.slots()).filter(|b| pred(b)).count()
+                map.values().flat_map(|b| b.iter()).filter(|b| pred(b)).count()
             }
         }
     }
@@ -380,6 +365,11 @@ impl OramTree {
     pub fn shadow_block_count(&self) -> usize {
         self.count_blocks(|b| b.is_shadow())
     }
+}
+
+/// A bucket of `z` dummy slots.
+fn empty_bucket(z: usize) -> Box<[Block]> {
+    vec![Block::DUMMY; z].into_boxed_slice()
 }
 
 #[cfg(test)]
@@ -473,12 +463,17 @@ mod tests {
         assert_eq!(order.count(), 16);
     }
 
+    fn occupancy(slots: &[Block]) -> usize {
+        slots.iter().filter(|b| !b.is_dummy()).count()
+    }
+
     #[test]
     fn tree_starts_all_dummy() {
         let t = OramTree::new(TreeShape::new(4, 3));
         assert_eq!(t.real_block_count(), 0);
         assert_eq!(t.shadow_block_count(), 0);
-        assert_eq!(t.bucket(BucketId::ROOT).occupancy(), 0);
+        assert_eq!(t.bucket(BucketId::ROOT).len(), 3);
+        assert_eq!(occupancy(t.bucket(BucketId::ROOT)), 0);
     }
 
     #[test]
@@ -487,19 +482,72 @@ mod tests {
         // O(1) memory and absent buckets must read as all-dummy.
         let mut t = OramTree::new(TreeShape::new(30, 4));
         let deep = t.shape().bucket_on_path(LeafLabel::new(987_654_321), 30);
-        assert_eq!(t.bucket(deep).occupancy(), 0);
+        assert_eq!(occupancy(t.bucket(deep)), 0);
         assert_eq!(t.real_block_count(), 0);
-        t.bucket_mut(deep).slots_mut()[0] = Block::real(
+        t.bucket_mut(deep)[0] = Block::real(
             crate::types::BlockAddr::new(7),
             LeafLabel::new(987_654_321),
             42,
             1,
         );
-        assert_eq!(t.bucket(deep).occupancy(), 1);
+        assert_eq!(occupancy(t.bucket(deep)), 1);
         assert_eq!(t.real_block_count(), 1);
         // A neighbouring never-written bucket still reads empty.
         let sibling = BucketId::new(deep.raw() ^ 1);
-        assert_eq!(t.bucket(sibling).occupancy(), 0);
+        assert_eq!(occupancy(t.bucket(sibling)), 0);
+    }
+
+    /// The flat dense slot array and the sparse per-bucket store are two
+    /// representations of one tree: a seeded sequence of slot writes
+    /// (real, shadow and dummy blocks, over every bucket including the
+    /// first and last) reads back identically from both, bucket by
+    /// bucket, and the diagnostic counts agree.
+    #[test]
+    fn dense_and_sparse_stores_hold_identical_contents() {
+        use crate::types::BlockAddr;
+        let mut rng = oram_util::Rng64::seed_from_u64(0xF1A7);
+        for (levels, z) in [(0u32, 1usize), (3, 4), (6, 5)] {
+            let shape = TreeShape::new(levels, z);
+            let mut dense = OramTree::with_store(shape, true);
+            let mut sparse = OramTree::with_store(shape, false);
+            assert!(matches!(dense.store, BucketStore::Dense(_)));
+            assert!(matches!(sparse.store, BucketStore::Sparse { .. }));
+            let last = shape.bucket_count();
+            for step in 0..2_000u64 {
+                let raw = match step % 7 {
+                    0 => 1,
+                    1 => last,
+                    _ => 1 + rng.below(last),
+                };
+                let id = BucketId::new(raw);
+                let slot = rng.below(z as u64) as usize;
+                let leaf = LeafLabel::new(rng.below(shape.leaf_count()));
+                let addr = BlockAddr::new(rng.below(64));
+                let real = Block::real(addr, leaf, step, rng.below(8) as _);
+                let blk = match rng.below(3) {
+                    0 => real,
+                    1 => real.to_shadow(),
+                    _ => Block::DUMMY,
+                };
+                dense.bucket_mut(id)[slot] = blk;
+                sparse.bucket_mut(id)[slot] = blk;
+                let probe = BucketId::new(1 + rng.below(last));
+                assert_eq!(dense.bucket(probe), sparse.bucket(probe), "step {step}");
+                assert_eq!(dense.bucket(id)[slot], blk);
+            }
+            let (mut real, mut shadow) = (0, 0);
+            for raw in 1..=last {
+                let id = BucketId::new(raw);
+                assert_eq!(dense.bucket(id), sparse.bucket(id), "L={levels} bucket {raw}");
+                assert_eq!(dense.bucket(id).len(), z);
+                real += dense.bucket(id).iter().filter(|b| b.is_real()).count();
+                shadow += dense.bucket(id).iter().filter(|b| b.is_shadow()).count();
+            }
+            for t in [&dense, &sparse] {
+                assert_eq!(t.real_block_count(), real, "L={levels}");
+                assert_eq!(t.shadow_block_count(), shadow, "L={levels}");
+            }
+        }
     }
 
     #[test]

@@ -320,7 +320,7 @@ impl<B: StorageBackend> Engine<B> {
             let tree = self.controller.tree();
             for raw in 1..=tree.shape().bucket_count() {
                 let id = BucketId::new(raw);
-                self.backend.persist_bucket(raw - 1, tree.bucket(id).slots());
+                self.backend.persist_bucket(raw - 1, tree.bucket(id));
             }
         }
     }
@@ -695,8 +695,9 @@ impl<B: StorageBackend> Engine<B> {
             let is_write = p.phase.kind == PhaseKind::EvictionWrite;
             self.reqs.clear();
             for b in p.phase.buckets() {
-                for slot in 0..z {
-                    let addr = self.layout.block_addr(b.raw() + p.bucket_offset, slot);
+                // A bucket's slots are contiguous in the layout.
+                let first = self.layout.block_addr(b.raw() + p.bucket_offset, 0);
+                for addr in first..first + z as u64 {
                     self.reqs.push(if is_write {
                         BlockRequest::write(addr)
                     } else {
@@ -762,8 +763,9 @@ impl<B: StorageBackend> Engine<B> {
         let is_write_phase = phase.kind == PhaseKind::EvictionWrite;
         self.reqs.clear();
         for b in phase.buckets() {
-            for slot in 0..z {
-                let addr = self.layout.block_addr(b.raw(), slot);
+            // A bucket's slots are contiguous in the layout.
+            let first = self.layout.block_addr(b.raw(), 0);
+            for addr in first..first + z as u64 {
                 self.reqs.push(if is_write_phase {
                     BlockRequest::write(addr)
                 } else {
@@ -784,7 +786,7 @@ impl<B: StorageBackend> Engine<B> {
             // them to the durable store.
             for b in phase.buckets() {
                 self.backend
-                    .persist_bucket(b.raw() - 1, self.controller.tree().bucket(b).slots());
+                    .persist_bucket(b.raw() - 1, self.controller.tree().bucket(b));
             }
         }
         let finishes = &self.finishes;

@@ -217,9 +217,13 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
             }
             c if c < 0x20 => return Err(format!("raw control byte at {}", *pos)),
             _ => {
-                // Copy a full UTF-8 scalar.
-                let s = std::str::from_utf8(&b[*pos..]).map_err(|_| "invalid UTF-8")?;
-                let ch = s.chars().next().ok_or("unterminated string")?;
+                // Copy a full UTF-8 scalar. It is at most 4 bytes, so only
+                // those are validated, not the rest of the document.
+                let ch = b[*pos..b.len().min(*pos + 4)]
+                    .utf8_chunks()
+                    .next()
+                    .and_then(|c| c.valid().chars().next())
+                    .ok_or("invalid UTF-8")?;
                 out.push(ch);
                 *pos += ch.len_utf8();
             }
@@ -290,6 +294,19 @@ mod tests {
         let doc = format!("{{\"k\": \"{}\"}}", escape(s));
         let v = parse(&doc).unwrap();
         assert_eq!(v.get("k").unwrap().as_str(), Some(s));
+    }
+
+    #[test]
+    fn multibyte_scalars_roundtrip() {
+        // 1-, 2-, 3- and 4-byte scalars, back to back and at the very end
+        // of the input (where the 4-byte decode window is cut short).
+        for s in ["aé€😀z", "é", "€€", "😀", "x😀"] {
+            let doc = format!("{{\"k\": \"{}\"}}", escape(s));
+            assert_eq!(parse(&doc).unwrap().get("k").unwrap().as_str(), Some(s));
+            let bare = format!("\"{s}\"");
+            assert_eq!(parse(&bare).unwrap().as_str(), Some(s));
+        }
+        assert!(parse("\"é").is_err(), "unterminated after a multibyte scalar");
     }
 
     #[test]
