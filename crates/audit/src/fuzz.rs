@@ -10,7 +10,7 @@ use oram_obsv::{
     render_prometheus, render_slo_json, FlightConfig, IncidentMeta, LiveConfig, LivePlane,
 };
 use oram_protocol::{OramConfig, PosMapSelect, Request};
-use oram_service::{AddressMix, SchedPolicy, ServiceConfig, ServiceResult, ServiceSim};
+use oram_service::{AddressMix, SchedPolicy, ServiceConfig, ServiceResult, ShardedServiceSim};
 use oram_sim::{
     DiskBackend, DiskConfig, Engine, ShardRequest, ShardedOram, StorageBackend, SystemConfig,
     WanBackend, WanConfig,
@@ -284,22 +284,24 @@ fn miss_stream(n: u64, working_set: u64, rng: &mut Rng64) -> Vec<MissRecord> {
         .collect()
 }
 
-/// Drives a [`ServiceSim`] over a fresh engine with a recorder attached
-/// and returns the captured bus trace plus the bookkeeping the service
-/// checks need: the validated result, the engine-level stash peak, and
-/// the ORAM configuration the trace must be checked against.
+/// Drives a [`ShardedServiceSim`] over a fresh one-shard backend with a
+/// recorder attached and returns the captured bus trace plus the
+/// bookkeeping the service checks need: the validated result, the
+/// engine-level stash peak, and the ORAM configuration the trace must be
+/// checked against.
 fn service_trace(
     sys: &SystemConfig,
     cfg: ServiceConfig,
 ) -> Result<(Vec<BusEvent>, ServiceResult, u64, OramConfig), String> {
     let rec = Recorder::unbounded();
-    let mut engine =
-        Engine::new(sys.clone()).map_err(|e| format!("engine rejected config: {e}"))?;
-    engine.prefill_working_set(cfg.address_span());
-    engine.attach_bus_observer(rec.observer());
-    let mut sim = ServiceSim::new(cfg, engine)?;
+    let mut backend = ShardedOram::new(sys.clone(), 1, 1)
+        .map_err(|e| format!("engine rejected config: {e}"))?;
+    backend.prefill_working_set(cfg.address_span());
+    backend.engine_mut(0).attach_bus_observer(rec.observer());
+    let mut sim = ShardedServiceSim::new(cfg, backend)?;
     sim.run();
-    let (res, mut engine) = sim.finish();
+    let (res, mut backend) = sim.finish();
+    let engine = backend.engine_mut(0);
     engine.detach_bus_observer();
     res.validate()?;
     let stash_max = engine.stash_occupancy().max() as u64;

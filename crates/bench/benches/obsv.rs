@@ -13,18 +13,20 @@
 
 use oram_bench::{bench, CountingAlloc};
 use oram_obsv::{http_get, FlightConfig, LiveConfig, LivePlane, MetricsServer};
-use oram_service::{SchedPolicy, ServiceConfig, ServiceSim};
-use oram_sim::{Engine, SystemConfig};
+use oram_service::{SchedPolicy, ServiceConfig, ShardedServiceSim};
+use oram_sim::{ShardedOram, SystemConfig};
 use oram_util::ServeClass;
 use std::hint::black_box;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
 
-fn engine() -> Engine {
-    let mut e = Engine::new(SystemConfig::small_test()).expect("valid config");
-    e.prefill_working_set(512);
-    e
+/// A one-shard backend: the engine runs on the service thread, so the
+/// plane can take its telemetry directly.
+fn one_shard() -> ShardedOram {
+    let mut b = ShardedOram::new(SystemConfig::small_test(), 1, 1).expect("valid config");
+    b.prefill_working_set(512);
+    b
 }
 
 fn plane_record_throughput() {
@@ -52,11 +54,11 @@ fn live_plane_allocation_check() -> bool {
     let mut ok = true;
     for policy in SchedPolicy::ALL {
         // Warm the engine off the books, as the service bench does.
-        let mut eng = engine();
+        let mut backend = one_shard();
         let mut i = 0u64;
         for step in 0..4000u64 {
             i = (i + 17) % 512;
-            black_box(eng.serve_request(i, step.is_multiple_of(5), 0));
+            black_box(backend.serve_request(i, step.is_multiple_of(5), 0));
         }
 
         // Construction preallocates the window ring, the sketches, the
@@ -64,10 +66,10 @@ fn live_plane_allocation_check() -> bool {
         // allowed to allocate. Recording into them is not.
         let plane = LivePlane::shared(LiveConfig::for_serve(4, 1, 400, 100));
         plane.lock().expect("plane lock").attach_flight(FlightConfig::default());
-        eng.attach_telemetry(LivePlane::as_sink(&plane), 50_000);
+        backend.engine_mut(0).attach_telemetry(LivePlane::as_sink(&plane), 50_000);
         let mut cfg = ServiceConfig::symmetric_open(4, 2_500, 400.0, 512, 11);
         cfg.scheduler = policy;
-        let mut sim = ServiceSim::new(cfg, eng).expect("valid config");
+        let mut sim = ShardedServiceSim::new(cfg, backend).expect("valid config");
         sim.attach_live(LivePlane::as_live(&plane));
         // Endpoint attached (accept thread parked) but not scraped
         // inside the measured region. Probe /healthz before snapshotting

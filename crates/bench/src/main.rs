@@ -135,8 +135,8 @@ fn serve_usage() -> &'static str {
      --load <r>         offered-rate multiplier over the base rate (default 1.0)\n\
      --scheduler <s>    run one policy (fcfs, round_robin, oldest_first)\n\
      --shards <M>       partition the address space across M concurrent ORAM\n\
-                        shards with intra-shard pipelining (default 1 = the\n\
-                        single-engine path, byte-identical output)\n\
+                        shards with intra-shard pipelining (default 1 = one\n\
+                        engine, no pipelining)\n\
      --threads <n>      worker threads serving shards (default 1; results are\n\
                         bit-identical at any thread count)\n\
      --json <path>      write the machine-readable report (the format\n\

@@ -24,7 +24,7 @@ use oram_obsv::{render_top, LivePlane};
 use oram_protocol::PosMapSelect;
 use oram_service::{
     LatencySummary, SchedPolicy, SchedulerSummary, ServiceConfig, ServiceMeta, ServiceReport,
-    ServiceResult, ServiceSim, ShardedServiceSim, SERVE_CLASS_NAMES,
+    ServiceResult, ShardedServiceSim, SERVE_CLASS_NAMES,
 };
 use oram_sim::{
     build_miss_stream, scale_profile, DiskBackend, DiskConfig, Engine, RunOptions, ShardedOram,
@@ -114,12 +114,13 @@ impl PosmapKind {
 /// A live observability attachment for a serve run: the shared
 /// [`LivePlane`] every policy feeds (service-side completions and
 /// rejections always; engine-side spans, Eq. 1 windows, and stash
-/// samples on single-engine runs, where the engine executes on the
-/// service thread) plus an optional rate-limited terminal ticker.
+/// samples on one-shard runs, where the engine executes on the service
+/// thread) plus an optional rate-limited terminal ticker.
 ///
-/// Sharded runs attach the plane service-side only: engine sinks fire
-/// on worker threads there, and the plane deliberately stays off those
-/// threads so the run's output and schedule are untouched.
+/// Runs over more shards attach the plane service-side only: engine
+/// sinks may fire on worker threads there, and the plane deliberately
+/// stays off those threads so the run's output is the same at every
+/// thread count.
 #[derive(Debug)]
 pub struct LiveRun {
     /// The plane every run in this serve feeds; the metrics endpoint
@@ -196,9 +197,9 @@ pub struct ServeOptions {
     pub levels: u32,
     /// Master seed.
     pub seed: u64,
-    /// ORAM backend shards (1 = the single-engine reference path,
-    /// byte-identical to the pre-sharding output; > 1 partitions the
-    /// address space and enables intra-shard pipelining).
+    /// ORAM backend shards (1 = the plain engine behind the dispatch
+    /// front; > 1 partitions the address space and enables intra-shard
+    /// pipelining).
     pub shards: usize,
     /// Worker threads serving shards concurrently (results are
     /// bit-identical at any thread count).
@@ -334,63 +335,65 @@ fn wan_backend(opts: &ServeOptions, sys: &SystemConfig) -> Result<WanBackend, St
     WanBackend::new(cfg)
 }
 
-/// Builds the disk backend for `sys`, returning the backend plus the
-/// directory to remove after the run (`None` when the caller owns it).
-fn disk_backend(
-    opts: &ServeOptions,
-    sys: &SystemConfig,
-    tag: &str,
-) -> Result<(DiskBackend, Option<PathBuf>), String> {
-    let (dir, ephemeral) = match &opts.disk_dir {
+/// The disk backend directory for one run, plus the directory to remove
+/// after the run (`None` when the caller owns it).
+fn disk_dir(opts: &ServeOptions, tag: &str) -> (PathBuf, Option<PathBuf>) {
+    match &opts.disk_dir {
         Some(d) => (d.join(tag), None),
         None => {
             let d = std::env::temp_dir()
                 .join(format!("oram_serve_disk_{}_{tag}", std::process::id()));
             (d.clone(), Some(d))
         }
-    };
-    let bucket_count = (1u64 << (sys.oram.levels + 1)) - 1;
-    let backend = DiskBackend::new(DiskConfig::new(dir, sys.oram.z, bucket_count))?;
-    Ok((backend, ephemeral))
+    }
 }
 
 /// Runs one policy at one load factor through the full validation
-/// stack and returns the summary plus the raw result.
+/// stack and returns the summary plus the raw result. Every backend
+/// runs behind a [`ShardedOram`] of `opts.shards` engines (one by
+/// default: the plain engine behind the dispatch front).
 fn run_policy(
     opts: &ServeOptions,
     policy: SchedPolicy,
     load: f64,
     live: Option<&LiveRun>,
 ) -> Result<(SchedulerSummary, ServiceResult), String> {
-    if opts.shards > 1 {
-        if opts.backend != BackendKind::Dram {
-            return Err(format!(
-                "backend {:?} does not support --shards > 1 (the sharded path is DRAM-only)",
-                opts.backend.name()
-            ));
-        }
-        return run_policy_sharded(opts, policy, load, live);
-    }
     let name = policy.name();
-    let sys = serve_system(opts).map_err(|e| format!("{name}: {e}"))?;
+    if opts.shards > 1 && opts.backend != BackendKind::Dram {
+        return Err(format!(
+            "backend {:?} does not support --shards > 1 (the sharded path is DRAM-only)",
+            opts.backend.name()
+        ));
+    }
+    let mut sys = serve_system(opts).map_err(|e| format!("{name}: {e}"))?;
+    // Shards overlap access k+1's path read with access k's eviction
+    // tail; the hazard check stalls same-path and stash-pressure cases.
+    sys.pipeline = opts.shards > 1;
+    let backend_err = |e| format!("{name}: backend: {e}");
     match opts.backend {
         BackendKind::Dram => {
-            let engine = Engine::new(sys).map_err(|e| format!("{name}: engine: {e}"))?;
-            run_policy_on(opts, policy, load, engine, live)
+            let backend =
+                ShardedOram::new(sys, opts.shards, opts.threads).map_err(backend_err)?;
+            run_on(opts, policy, load, backend, live)
         }
         BackendKind::Wan => {
-            let backend = wan_backend(opts, &sys).map_err(|e| format!("{name}: wan: {e}"))?;
-            let engine =
-                Engine::with_backend(sys, backend).map_err(|e| format!("{name}: engine: {e}"))?;
-            run_policy_on(opts, policy, load, engine, live)
+            let wan_sys = sys.clone();
+            let backend = ShardedOram::with_backend_factory(sys, opts.shards, opts.threads, |_| {
+                wan_backend(opts, &wan_sys)
+            })
+            .map_err(backend_err)?;
+            run_on(opts, policy, load, backend, live)
         }
         BackendKind::Disk => {
             let tag = format!("{name}_{load:.2}").replace('.', "p");
-            let (backend, cleanup) =
-                disk_backend(opts, &sys, &tag).map_err(|e| format!("{name}: disk: {e}"))?;
-            let engine =
-                Engine::with_backend(sys, backend).map_err(|e| format!("{name}: engine: {e}"))?;
-            let result = run_policy_on(opts, policy, load, engine, live);
+            let (dir, cleanup) = disk_dir(opts, &tag);
+            let bucket_count = (1u64 << (sys.oram.levels + 1)) - 1;
+            let z = sys.oram.z;
+            let result = ShardedOram::with_backend_factory(sys, opts.shards, opts.threads, |_| {
+                DiskBackend::new(DiskConfig::new(dir.clone(), z, bucket_count))
+            })
+            .map_err(backend_err)
+            .and_then(|backend| run_on(opts, policy, load, backend, live));
             if let Some(dir) = cleanup {
                 let _ = std::fs::remove_dir_all(dir);
             }
@@ -400,125 +403,49 @@ fn run_policy(
 }
 
 /// The backend-generic core of [`run_policy`]: drives the service
-/// front-end over a ready engine and applies the full validation stack.
-fn run_policy_on<B: StorageBackend>(
+/// front-end over a ready sharded backend and validates every shard
+/// independently — each shard's bus trace must pass the obliviousness
+/// audit on its own, and each shard's telemetry spans must partition
+/// their latencies exactly.
+fn run_on<B: StorageBackend>(
     opts: &ServeOptions,
     policy: SchedPolicy,
     load: f64,
-    mut engine: Engine<B>,
+    mut backend: ShardedOram<B>,
     live: Option<&LiveRun>,
 ) -> Result<(SchedulerSummary, ServiceResult), String> {
     let name = policy.name();
     let mut cfg = opts.service_config(load);
     cfg.scheduler = policy;
 
-    let trace = Recorder::unbounded();
-    let telem = TelemetryRecorder::shared(TelemetryConfig { span_capacity: 1 << 16 });
-    engine.prefill_working_set(cfg.address_span().min(PREFILL_CAP));
-    engine.attach_bus_observer(trace.observer());
-    // With a live plane attached the engine's telemetry stream is teed:
-    // the post-hoc recorder stays primary (validation reads it), and the
-    // plane sees the same spans, Eq. 1 windows, and stash samples as
-    // they happen.
-    let engine_sink = match live {
-        Some(lr) => {
-            TeeSink::shared(TelemetryRecorder::as_sink(&telem), LivePlane::as_sink(&lr.plane))
-        }
-        None => TelemetryRecorder::as_sink(&telem),
-    };
-    engine.attach_telemetry(engine_sink, 50_000);
-
-    let mut sim = ServiceSim::new(cfg, engine).map_err(|e| format!("{name}: {e}"))?;
-    sim.attach_telemetry(TelemetryRecorder::as_sink(&telem));
-    if let Some(lr) = live {
-        sim.attach_live(LivePlane::as_live(&lr.plane));
-    }
-    match live.and_then(|lr| lr.top.as_ref()) {
-        Some(top) => {
-            while sim.step() {
-                top.maybe_draw(&live.expect("top implies live").plane);
-            }
-        }
-        None => sim.run(),
-    }
-    let (res, mut engine) = sim.finish();
-    engine.detach_telemetry();
-    engine.detach_bus_observer();
-
-    // 1. Service conservation laws against the engine's own counters.
-    res.validate().map_err(|e| format!("{name}: {e}"))?;
-    // 2. Every span's attribution partitions its latency exactly, with
-    //    queue_wait = start − arrival.
-    {
-        let t = telem.lock().expect("recorder poisoned");
-        validate_attribution(t.spans()).map_err(|e| format!("{name}: attribution: {e}"))?;
-    }
-    // 3. The service-issued bus trace passes the obliviousness audit:
-    //    the data-path grammar (which skips posmap events) plus the
-    //    recursive posmap's own structural grammar (vacuous under a
-    //    flat posmap, which emits no posmap events).
-    let snapshot = trace.snapshot();
-    check_service_trace(&engine.config().oram, &snapshot)
-        .map_err(|e| format!("{name}: service trace audit: {e}"))?;
-    check_posmap_trace(&snapshot).map_err(|e| format!("{name}: posmap trace audit: {e}"))?;
-    // 4. The live plane (when attached) conserved every count: folded +
-    //    ring + open window totals equal the cumulative registry.
-    finish_live(name, live)?;
-
-    let summary = summarize(name, &res);
-    Ok((summary, res))
-}
-
-/// Closes the live plane's open window after a policy run and checks
-/// the window conservation law.
-fn finish_live(name: &str, live: Option<&LiveRun>) -> Result<(), String> {
-    if let Some(lr) = live {
-        let mut p = lr.plane.lock().expect("plane lock");
-        p.flush();
-        p.validate_conservation()
-            .map_err(|e| format!("{name}: observability conservation: {e}"))?;
-    }
-    Ok(())
-}
-
-/// The sharded counterpart of [`run_policy`]: partitions the address
-/// space across `opts.shards` engines (each with intra-shard pipelining
-/// enabled) and validates every shard independently — each shard's bus
-/// trace must pass the obliviousness audit on its own, and each shard's
-/// telemetry spans must partition their latencies exactly.
-fn run_policy_sharded(
-    opts: &ServeOptions,
-    policy: SchedPolicy,
-    load: f64,
-    live: Option<&LiveRun>,
-) -> Result<(SchedulerSummary, ServiceResult), String> {
-    let name = policy.name();
-    let mut sys = serve_system(opts).map_err(|e| format!("{name}: {e}"))?;
-    // Shards overlap access k+1's path read with access k's eviction
-    // tail; the hazard check stalls same-path and stash-pressure cases.
-    sys.pipeline = true;
-
-    let mut cfg = opts.service_config(load);
-    cfg.scheduler = policy;
-
-    let mut backend = ShardedOram::new(sys, opts.shards, opts.threads)
-        .map_err(|e| format!("{name}: backend: {e}"))?;
+    let shards = backend.shard_count();
     backend.prefill_working_set(cfg.address_span().min(PREFILL_CAP));
-    let traces: Vec<Recorder> = (0..opts.shards).map(|_| Recorder::unbounded()).collect();
-    let telems: Vec<_> = (0..opts.shards)
+    let traces: Vec<Recorder> = (0..shards).map(|_| Recorder::unbounded()).collect();
+    let telems: Vec<_> = (0..shards)
         .map(|_| TelemetryRecorder::shared(TelemetryConfig { span_capacity: 1 << 16 }))
         .collect();
-    for i in 0..opts.shards {
+    for i in 0..shards {
         backend.engine_mut(i).attach_bus_observer(traces[i].observer());
-        backend.engine_mut(i).attach_telemetry(TelemetryRecorder::as_sink(&telems[i]), 50_000);
+        // With one shard the engine runs on the service thread, so a
+        // live plane also sees its spans, Eq. 1 windows and stash
+        // samples as they happen (the recorder stays primary:
+        // validation reads it). With more shards engine sinks may fire
+        // on worker threads, and the plane stays off those threads so
+        // the output is the same at every thread count.
+        let sink = match live {
+            Some(lr) if shards == 1 => TeeSink::shared(
+                TelemetryRecorder::as_sink(&telems[i]),
+                LivePlane::as_sink(&lr.plane),
+            ),
+            _ => TelemetryRecorder::as_sink(&telems[i]),
+        };
+        backend.engine_mut(i).attach_telemetry(sink, 50_000);
     }
 
     let mut sim = ShardedServiceSim::new(cfg, backend).map_err(|e| format!("{name}: {e}"))?;
     sim.attach_telemetry(TelemetryRecorder::as_sink(&telems[0]));
-    // The plane attaches service-side only here: engine sinks fire on
-    // worker threads in the sharded path, and the plane stays off those
-    // threads so the deterministic schedule is untouched. Completions
-    // still carry their shard id, so the per-shard breakdown is live.
+    // Service-side completions carry their shard id, so the per-shard
+    // breakdown is live at any shard count.
     if let Some(lr) = live {
         sim.attach_live(LivePlane::as_live(&lr.plane));
     }
@@ -531,22 +458,25 @@ fn run_policy_sharded(
         None => sim.run(),
     }
     let (res, mut backend) = sim.finish();
-    for i in 0..opts.shards {
+    for i in 0..shards {
         backend.engine_mut(i).detach_telemetry();
         backend.engine_mut(i).detach_bus_observer();
     }
 
     // 1. Service conservation laws against the merged engine counters.
     res.validate().map_err(|e| format!("{name}: {e}"))?;
-    // 2. Per-shard attribution: every span partitions its latency.
+    // 2. Per-shard attribution: every span partitions its latency
+    //    exactly, with queue_wait = start − arrival.
     for (i, telem) in telems.iter().enumerate() {
         let t = telem.lock().expect("recorder poisoned");
         validate_attribution(t.spans())
             .map_err(|e| format!("{name}: shard {i} attribution: {e}"))?;
     }
-    // 3. Per-shard obliviousness: each shard's bus trace must be a valid
-    //    ORAM trace on its own (a shard that saw no traffic has nothing
-    //    to check).
+    // 3. Per-shard obliviousness: each shard's bus trace must pass the
+    //    data-path grammar (which skips posmap events) plus the
+    //    recursive posmap's own structural grammar (vacuous under a
+    //    flat posmap, which emits no posmap events). A shard that saw no
+    //    traffic has nothing to check.
     for (i, trace) in traces.iter().enumerate() {
         let snapshot = trace.snapshot();
         if snapshot.is_empty() {
@@ -557,8 +487,14 @@ fn run_policy_sharded(
         check_posmap_trace(&snapshot)
             .map_err(|e| format!("{name}: shard {i} posmap trace audit: {e}"))?;
     }
-    // 4. Live-plane window conservation, as in the single-engine path.
-    finish_live(name, live)?;
+    // 4. The live plane (when attached) conserved every count: folded +
+    //    ring + open window totals equal the cumulative registry.
+    if let Some(lr) = live {
+        let mut p = lr.plane.lock().expect("plane lock");
+        p.flush();
+        p.validate_conservation()
+            .map_err(|e| format!("{name}: observability conservation: {e}"))?;
+    }
 
     let summary = summarize(name, &res);
     Ok((summary, res))

@@ -8,7 +8,8 @@
 //! — same popularity shape, different blocks hot), ramps the offered
 //! load along a symmetric diurnal profile, and optionally switches the
 //! storage backend mid-run. The engine's clock, stash state, and
-//! position map carry across phases (`ServiceSim::resume`), so the run
+//! position map carry across phases (`ShardedServiceSim::resume` over a
+//! one-shard backend), so the run
 //! exercises the steady state the paper's duplication mechanisms live
 //! in — not the cold start every short benchmark re-measures.
 //!
@@ -26,9 +27,9 @@ use std::sync::{Arc, Mutex};
 use oram_obsv::{
     AlertKind, FlightConfig, IncidentMeta, LiveConfig, LivePlane, EQ1_RESIDUAL_PPM,
 };
-use oram_service::{AddressMix, ServiceConfig, ServiceSim};
+use oram_service::{AddressMix, ServiceConfig, ShardedServiceSim};
 use oram_sim::{
-    DiskBackend, DiskConfig, Engine, StorageBackend, SystemConfig, WanBackend, WanConfig,
+    DiskBackend, DiskConfig, ShardedOram, StorageBackend, SystemConfig, WanBackend, WanConfig,
 };
 use oram_telemetry::json::{self, Value};
 
@@ -301,34 +302,33 @@ fn phase_config(opts: &SoakOptions, p: &PhasePlan) -> ServiceConfig {
     cfg
 }
 
-/// Chains the phases of one backend segment over a single engine,
-/// resuming each phase at the previous phase's final cycle. Returns the
-/// segment's final cycle.
+/// Chains the phases of one backend segment over a single one-shard
+/// backend, resuming each phase at the previous phase's final cycle.
+/// Returns the segment's final cycle.
 fn run_segment<B: StorageBackend>(
     opts: &SoakOptions,
-    engine: Engine<B>,
+    mut backend: ShardedOram<B>,
     plan: &[PhasePlan],
     start_cycle: u64,
     plane: &Arc<Mutex<LivePlane>>,
     hb: Option<&Heartbeat>,
     out: &mut Vec<PhaseSoak>,
 ) -> Result<u64, String> {
-    let mut engine = engine;
-    engine.prefill_working_set(opts.domain);
-    engine.attach_telemetry(LivePlane::as_sink(plane), 50_000);
+    backend.prefill_working_set(opts.domain);
+    backend.engine_mut(0).attach_telemetry(LivePlane::as_sink(plane), 50_000);
     let mut cycle = start_cycle;
-    let mut slot = Some(engine);
     for p in plan {
         let cfg = phase_config(opts, p);
-        let mut sim = ServiceSim::resume(cfg, slot.take().expect("engine slot"), cycle)
+        let mut sim = ShardedServiceSim::resume(cfg, backend, cycle)
             .map_err(|e| format!("phase {}: {e}", p.index))?;
         sim.attach_live(LivePlane::as_live(plane));
         sim.run();
-        let (res, engine) = sim.finish();
+        let (res, resumed) = sim.finish();
+        backend = resumed;
         // Streaming validation: this phase's conservation laws, checked
         // before the next phase starts.
         res.validate().map_err(|e| format!("phase {}: {e}", p.index))?;
-        cycle = engine.cycle();
+        cycle = backend.cycle();
         out.push(PhaseSoak {
             index: p.index as u64,
             load: p.load,
@@ -339,18 +339,17 @@ fn run_segment<B: StorageBackend>(
             coalesced: res.coalesced(),
             end_cycle: cycle,
         });
-        slot = Some(engine);
         if let Some(hb) = hb {
             hb.tick(p.index + 1, opts.phases);
         }
     }
-    let mut engine = slot.take().expect("engine slot");
-    engine.detach_telemetry();
+    backend.engine_mut(0).detach_telemetry();
     Ok(cycle)
 }
 
-/// Builds the engine for a segment and runs it (the backend kinds have
-/// different engine types, so the dispatch happens once per segment).
+/// Builds the one-shard backend for a segment and runs it (the backend
+/// kinds have different engine types, so the dispatch happens once per
+/// segment).
 fn run_segment_kind(
     opts: &SoakOptions,
     kind: BackendKind,
@@ -365,24 +364,26 @@ fn run_segment_kind(
     sys.validate().map_err(|e| format!("invalid configuration: {e}"))?;
     match kind {
         BackendKind::Dram => {
-            let engine = Engine::new(sys).map_err(|e| format!("engine: {e}"))?;
-            run_segment(opts, engine, plan, start_cycle, plane, hb, out)
+            let backend = ShardedOram::new(sys, 1, 1).map_err(|e| format!("backend: {e}"))?;
+            run_segment(opts, backend, plan, start_cycle, plane, hb, out)
         }
         BackendKind::Wan => {
             let per_block = WanConfig::default_wan().per_block_cycles;
             let cfg = WanConfig::from_rtt_us(200.0, sys.dram.tck_ns, per_block, 4);
-            let backend = WanBackend::new(cfg).map_err(|e| format!("wan: {e}"))?;
-            let engine = Engine::with_backend(sys, backend).map_err(|e| format!("engine: {e}"))?;
-            run_segment(opts, engine, plan, start_cycle, plane, hb, out)
+            let backend = ShardedOram::with_backend_factory(sys, 1, 1, |_| WanBackend::new(cfg))
+                .map_err(|e| format!("backend: {e}"))?;
+            run_segment(opts, backend, plan, start_cycle, plane, hb, out)
         }
         BackendKind::Disk => {
             let dir = std::env::temp_dir()
                 .join(format!("oram_soak_disk_{}_{start_cycle}", std::process::id()));
             let bucket_count = (1u64 << (sys.oram.levels + 1)) - 1;
-            let backend = DiskBackend::new(DiskConfig::new(dir.clone(), sys.oram.z, bucket_count))
-                .map_err(|e| format!("disk: {e}"))?;
-            let engine = Engine::with_backend(sys, backend).map_err(|e| format!("engine: {e}"))?;
-            let result = run_segment(opts, engine, plan, start_cycle, plane, hb, out);
+            let z = sys.oram.z;
+            let result = ShardedOram::with_backend_factory(sys, 1, 1, |_| {
+                DiskBackend::new(DiskConfig::new(dir.clone(), z, bucket_count))
+            })
+            .map_err(|e| format!("backend: {e}"))
+            .and_then(|backend| run_segment(opts, backend, plan, start_cycle, plane, hb, out));
             let _ = std::fs::remove_dir_all(dir);
             result
         }

@@ -218,6 +218,6 @@ mod tests {
         // A second read to the same row may go as soon as tRCD from the
         // original activate (bus constraints handled elsewhere).
         assert!(b.is_open(7));
-        b.issue(Command::Read, (c.trcd + c.tccd) as i64, 7, &c);
+        b.issue(Command::Read, (c.trcd + c.burst_cycles()) as i64, 7, &c);
     }
 }

@@ -34,14 +34,8 @@ pub struct DramConfig {
     pub tras: u64,
     /// Write recovery (end of write burst → precharge).
     pub twr: u64,
-    /// Write-to-read turnaround (same rank). Carried for completeness but
-    /// not enforced by the channel schedule.
-    pub twtr: u64,
     /// Read-to-precharge delay.
     pub trtp: u64,
-    /// Column-to-column delay (back-to-back bursts). Not enforced: bursts
-    /// are spaced by data-bus occupancy ([`DramConfig::burst_cycles`]).
-    pub tccd: u64,
     /// Activate-to-activate delay, different banks same rank.
     pub trrd: u64,
     /// Four-activate window, same rank.
@@ -71,9 +65,7 @@ impl DramConfig {
             trp: 10,
             tras: 24,
             twr: 10,
-            twtr: 5,
             trtp: 5,
-            tccd: 4,
             trrd: 4,
             tfaw: 20,
             cwl: 7,

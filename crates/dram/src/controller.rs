@@ -8,8 +8,9 @@
 //! transactions per access) fast to simulate while preserving the timing
 //! interactions that matter: row-buffer locality, bank parallelism, bus
 //! occupancy, tRRD/tFAW and refresh. There is no write-to-read
-//! turnaround: [`DramConfig::twtr`] and [`DramConfig::tccd`] are not read
-//! here, and back-to-back bursts are spaced by data-bus occupancy alone.
+//! turnaround (tWTR), and back-to-back bursts are spaced by data-bus
+//! occupancy alone ([`DramConfig::burst_cycles`], equal to tCCD at DDR3's
+//! burst length).
 //!
 //! The per-block path is free of pointer chasing and division: banks
 //! live in one flat `Vec` indexed `rank * banks + bank`, and queued

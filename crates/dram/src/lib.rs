@@ -8,11 +8,10 @@
 //!
 //! * JEDEC core timings (tRCD/CL/CWL/tRP/tRAS/tWR/tRTP/tRRD/tFAW),
 //!   DDR3-1333 defaults matching the paper's Table I (2 channels,
-//!   21.3 GB/s peak). Two configured timings are *not* enforced:
-//!   [`DramConfig::twtr`] (there is no write-to-read turnaround) and
-//!   [`DramConfig::tccd`] (back-to-back bursts are spaced only by
-//!   data-bus occupancy, `burst_length / 2` cycles — equal to tCCD at
-//!   DDR3's burst length of 8);
+//!   21.3 GB/s peak). There is no write-to-read turnaround (tWTR), and
+//!   back-to-back bursts are spaced only by data-bus occupancy,
+//!   [`DramConfig::burst_cycles`] — equal to tCCD at DDR3's burst length
+//!   of 8;
 //! * per-bank row-buffer state with FR-FCFS scheduling and data-bus
 //!   contention, so sequential path reads stream near peak bandwidth
 //!   while scattered accesses pay activate/precharge penalties;

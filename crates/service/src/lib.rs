@@ -4,10 +4,11 @@
 //! independent client streams (open-loop Poisson and closed-loop
 //! think-time generators over Zipfian/uniform/hot address mixes) feed
 //! bounded per-client queues with admission control; a batch scheduler
-//! (FCFS / round-robin / oldest-first) drains them into the
-//! [`oram_sim::Engine`], merging same-address reads MSHR-style strictly
-//! *before* the ORAM issue point so the bus-visible access stream — and
-//! therefore the obliviousness argument — is unchanged.
+//! (FCFS / round-robin / oldest-first) drains them in batches into an
+//! [`oram_sim::ShardedOram`] (one shard is the plain engine), merging
+//! same-address reads MSHR-style strictly *before* the ORAM issue point
+//! so the bus-visible access stream — and therefore the obliviousness
+//! argument — is unchanged.
 //!
 //! Everything is deterministic under the master seed: identical
 //! configurations produce bit-identical results, which is what lets
@@ -16,15 +17,16 @@
 //! ## Quick example
 //!
 //! ```
-//! use oram_service::{ServiceConfig, ServiceSim};
-//! use oram_sim::{Engine, SystemConfig};
+//! use oram_service::{ServiceConfig, ShardedServiceSim};
+//! use oram_sim::{ShardedOram, SystemConfig};
 //!
 //! let cfg = ServiceConfig::symmetric_open(2, 20, 2_000.0, 256, 7);
-//! let mut engine = Engine::new(SystemConfig::small_test()).unwrap();
-//! engine.prefill_working_set(256);
-//! let mut sim = ServiceSim::new(cfg, engine).unwrap();
+//! // One shard served inline: the plain engine behind the dispatch front.
+//! let mut backend = ShardedOram::new(SystemConfig::small_test(), 1, 1).unwrap();
+//! backend.prefill_working_set(256);
+//! let mut sim = ShardedServiceSim::new(cfg, backend).unwrap();
 //! sim.run();
-//! let (result, _engine) = sim.finish();
+//! let (result, _backend) = sim.finish();
 //! result.validate().unwrap();
 //! assert_eq!(result.completed() + result.rejected(), 40);
 //! ```
@@ -41,4 +43,4 @@ pub use report::{
     compare_service_reports, percentile, LatencySummary, SchedulerSummary, ServiceMeta,
     ServiceReport,
 };
-pub use sim::{ClientResult, ServiceResult, ServiceSim, ShardedServiceSim, SERVE_CLASS_NAMES};
+pub use sim::{ClientResult, ServiceResult, ShardedServiceSim, SERVE_CLASS_NAMES};

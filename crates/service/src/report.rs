@@ -73,8 +73,8 @@ pub struct ServiceMeta {
     pub seed: u64,
     /// Load factor the offered rate was scaled by (1.0 = the base rate).
     pub load: f64,
-    /// ORAM backend shards serving the run (1 = the single-engine
-    /// reference path; serialized only when different, so single-shard
+    /// ORAM backend shards serving the run (1 = one engine behind the
+    /// dispatch front; serialized only when different, so single-shard
     /// reports stay byte-identical to their pre-sharding format).
     pub shards: u64,
     /// Storage backend the run was served from (`"dram"`, `"disk"`,

@@ -1,15 +1,12 @@
 //! The service front-end simulator: client streams feeding bounded
-//! queues, a batch scheduler draining them into the ORAM engine, and
-//! MSHR-style coalescing of same-address reads before the issue point.
+//! queues, a batch scheduler draining them into the ORAM, and MSHR-style
+//! coalescing of same-address reads before the issue point.
 //!
-//! Two back-ends share one scheduling front-end:
-//!
-//! * [`ServiceSim`] drives a single [`Engine`], issuing scheduled
-//!   requests one at a time — the reference path.
-//! * [`ShardedServiceSim`] drives a [`ShardedOram`]: each scheduling
-//!   round collects up to `batch_size` coalesced group leaders and
-//!   dispatches them as one batch, which the backend partitions across
-//!   its shards and serves concurrently.
+//! [`ShardedServiceSim`] drives a [`ShardedOram`]: each scheduling round
+//! collects up to `batch_size` coalesced group leaders and dispatches
+//! them as one batch, which the backend partitions across its shards and
+//! serves concurrently. A one-shard backend is the plain engine behind
+//! that dispatch front, serving the leaders in slot order.
 //!
 //! ## Obliviousness note
 //!
@@ -32,15 +29,13 @@
 //! per-client generators are seeded by client index, admission
 //! processes arrivals in global time order (ties by client id), and the
 //! scheduler is a pure function of queue state. Two runs with the same
-//! configuration produce bit-identical results; for the sharded
-//! back-end that holds at any worker thread count, because batches
-//! partition to shards in input order before any shard runs.
+//! configuration produce bit-identical results at any worker thread
+//! count, because batches partition to shards in input order before any
+//! shard runs.
 
 use std::collections::VecDeque;
 
-use oram_sim::{
-    DramBackend, Engine, ServeOutcome, ShardRequest, ShardedOram, SimStats, StorageBackend,
-};
+use oram_sim::{DramBackend, ServeOutcome, ShardRequest, ShardedOram, SimStats, StorageBackend};
 use oram_util::{MetricId, Rng64, ServeClass, SharedLive, SharedTelemetry};
 use oram_workloads::{PoissonProcess, ZipfianSampler};
 
@@ -104,7 +99,8 @@ struct ClientState {
     served: [u64; 6],
     /// Completion-order per-request latency (`data_ready − arrival`).
     latencies: Vec<u64>,
-    /// Completion-order per-request queue wait (`issue − arrival`).
+    /// Queue waits of the requests this client led (see
+    /// [`ClientResult::wait_sum`]).
     wait_sum: u64,
     wait_max: u64,
 }
@@ -193,9 +189,13 @@ pub struct ClientResult {
     pub served: [u64; 6],
     /// Per-request latency (`data_ready − arrival`) in completion order.
     pub latencies: Vec<u64>,
-    /// Sum of per-request queue waits (`issue − arrival`).
+    /// Sum of the queue waits of the requests this client led:
+    /// `dispatch − arrival`, where `dispatch` is the backend clock
+    /// ([`ShardedOram::cycle`]) when the leader's batch was collected.
+    /// Every leader of one batch shares that clock; coalesced waiters
+    /// add no wait.
     pub wait_sum: u64,
-    /// Largest single queue wait.
+    /// Largest single leader wait, on the same dispatch clock.
     pub wait_max: u64,
 }
 
@@ -295,8 +295,7 @@ impl ServiceResult {
 
 /// The backend-independent scheduling front-end: client streams,
 /// admission control, scheduler policy and completion accounting.
-/// [`ServiceSim`] and [`ShardedServiceSim`] differ only in how selected
-/// group leaders reach an engine.
+/// [`ShardedServiceSim`] owns one and adds the batch dispatch.
 #[derive(Debug)]
 struct Frontend {
     cfg: ServiceConfig,
@@ -505,7 +504,7 @@ impl Frontend {
     }
 
     /// Pops the selected client's queue head and records its queue wait
-    /// against issue time `now`.
+    /// against the batch's dispatch clock `now`.
     fn pop_leader(&mut self, ci: usize, now: u64) -> QueuedRequest {
         let req = self.clients[ci].queue.pop_front().expect("selected head");
         let wait = now.max(req.arrival) - req.arrival;
@@ -516,7 +515,7 @@ impl Frontend {
     }
 
     /// Records one completed request on its client. `shard` is the
-    /// public `addr mod M` routing slot (0 on single-engine back-ends).
+    /// public `addr mod M` routing slot.
     fn complete(
         &mut self,
         client: usize,
@@ -591,182 +590,14 @@ impl Frontend {
     }
 }
 
-/// The service front-end driving one [`Engine`].
-///
-/// Construction wires the client streams; [`ServiceSim::step`] runs one
-/// scheduling round (admission plus one issue batch); [`ServiceSim::finish`]
-/// closes the engine accounting and returns the [`ServiceResult`].
-#[derive(Debug)]
-pub struct ServiceSim<B: StorageBackend = DramBackend> {
-    front: Frontend,
-    engine: Engine<B>,
-    /// Coalesce-sweep scratch: `(client, request)` waiters removed from
-    /// their queues, completed with the leader's outcome. Preallocated;
-    /// the steady-state issue path never allocates.
-    waiter_buf: Vec<(u32, QueuedRequest)>,
-    /// Accesses the engine had consumed before this phase began.
-    prior_issued: u64,
-}
-
-impl<B: StorageBackend> ServiceSim<B> {
-    /// Builds a front-end over a ready engine (prefill the working set
-    /// and attach observers/telemetry to the engine *before* handing it
-    /// in; the service never reconfigures it).
-    ///
-    /// # Errors
-    ///
-    /// Returns the configuration validation error.
-    pub fn new(cfg: ServiceConfig, engine: Engine<B>) -> Result<Self, String> {
-        let front = Frontend::new(cfg)?;
-        let waiter_cap = front.waiter_capacity();
-        Ok(ServiceSim {
-            front,
-            engine,
-            waiter_buf: Vec::with_capacity(waiter_cap),
-            prior_issued: 0,
-        })
-    }
-
-    /// Builds a front-end over an engine whose clock is already running
-    /// — typically one returned by a previous phase's
-    /// [`ServiceSim::finish`] — with every client's first arrival offset
-    /// by `start_cycle`. Stash occupancy, position map and Eq. 1
-    /// accounting all carry over, so phase-chained soak runs observe one
-    /// continuous ORAM rather than a sequence of cold starts.
-    ///
-    /// # Errors
-    ///
-    /// Returns the configuration validation error.
-    pub fn resume(cfg: ServiceConfig, engine: Engine<B>, start_cycle: u64) -> Result<Self, String> {
-        let front = Frontend::new_at(cfg, start_cycle)?;
-        let waiter_cap = front.waiter_capacity();
-        let prior_issued = engine.stats().misses_consumed;
-        Ok(ServiceSim {
-            front,
-            engine,
-            waiter_buf: Vec::with_capacity(waiter_cap),
-            prior_issued,
-        })
-    }
-
-    /// Attaches a sink for the service-layer counters. (Engine-side
-    /// telemetry — spans, windows, queue-wait samples — is attached to
-    /// the engine itself before construction.)
-    pub fn attach_telemetry(&mut self, sink: SharedTelemetry) {
-        self.front.telemetry = Some(sink);
-    }
-
-    /// Attaches a live observer for per-request completion and
-    /// rejection events (tenant, shard, serve class, latency).
-    pub fn attach_live(&mut self, live: SharedLive) {
-        self.front.live = Some(live);
-    }
-
-    /// The engine being driven.
-    pub fn engine(&self) -> &Engine<B> {
-        &self.engine
-    }
-
-    /// The configuration in force.
-    pub fn config(&self) -> &ServiceConfig {
-        &self.front.cfg
-    }
-
-    /// Injects one request directly into a client's queue at the
-    /// current engine cycle, subject to normal admission control.
-    /// Returns `false` if the queue was full (request rejected). The
-    /// deterministic entry point for invariant tests; generated streams
-    /// use the client specs instead.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `client` is out of range.
-    pub fn inject(&mut self, client: usize, addr: u64, write: bool) -> bool {
-        let now = self.engine.cycle();
-        self.front.inject(now, client, addr, write)
-    }
-
-    /// Issues one scheduled request (and its coalesced group) into the
-    /// engine.
-    fn issue_one(&mut self) -> bool {
-        let Some(ci) = self.front.select_client() else { return false };
-        let req = self.front.pop_leader(ci, self.engine.cycle());
-
-        // MSHR sweep: absorb every queued read of the same address
-        // (any client, any queue position) into this access. Writes
-        // never coalesce — they carry distinct payloads.
-        if self.front.cfg.coalescing && !req.write {
-            let buf = &mut self.waiter_buf;
-            for (i, c) in self.front.clients.iter_mut().enumerate() {
-                c.queue.retain(|q| {
-                    if q.addr == req.addr && !q.write {
-                        buf.push((i as u32, *q));
-                        false
-                    } else {
-                        true
-                    }
-                });
-            }
-        }
-
-        // The group's effective arrival is its oldest member — the
-        // leader under FCFS/oldest-first, and still the honest choice
-        // under round-robin where an older waiter may ride along.
-        let mut group_arrival = req.arrival;
-        for k in 0..self.waiter_buf.len() {
-            group_arrival = group_arrival.min(self.waiter_buf[k].1.arrival);
-        }
-        let out = self.engine.serve_request(req.addr, req.write, group_arrival);
-        self.front.complete(ci, &req, &out, true, 0);
-        while let Some((wc, wreq)) = self.waiter_buf.pop() {
-            self.front.complete(wc as usize, &wreq, &out, false, 0);
-        }
-        true
-    }
-
-    /// Runs one scheduling round: admits every arrival up to the
-    /// current engine cycle (advancing to the next pending arrival if
-    /// all queues are empty), then issues up to `batch_size` requests.
-    /// Returns `false` once the run is drained.
-    pub fn step(&mut self) -> bool {
-        self.front.admit_until(self.engine.cycle());
-        if self.front.queues_empty() {
-            let next = self.front.next_pending_arrival();
-            if next == NEVER {
-                return false;
-            }
-            self.front.admit_until(next);
-        }
-        for _ in 0..self.front.cfg.batch_size {
-            if !self.issue_one() {
-                break;
-            }
-        }
-        !self.front.drained()
-    }
-
-    /// Steps until drained.
-    pub fn run(&mut self) {
-        while self.step() {}
-    }
-
-    /// Closes the engine's Eq. 1 accounting and returns the result
-    /// together with the engine (so callers can inspect attached
-    /// observers or reuse it).
-    pub fn finish(mut self) -> (ServiceResult, Engine<B>) {
-        let stats = self.engine.finish();
-        let clients = self.front.into_results();
-        (ServiceResult { stats, clients, prior_issued: self.prior_issued }, self.engine)
-    }
-}
-
 /// The service front-end driving a [`ShardedOram`] backend.
 ///
-/// Shares the scheduling front-end with [`ServiceSim`] — same admission
-/// control, scheduler policies and MSHR coalescing — but each scheduling
-/// round collects up to `batch_size` coalesced group leaders first and
-/// dispatches them to the backend as one batch, which partitions them
-/// across its shards and serves the shards concurrently. Results are
+/// Construction wires the client streams; [`ShardedServiceSim::step`]
+/// runs one scheduling round: admission, then up to `batch_size`
+/// coalesced group leaders collected and dispatched to the backend as
+/// one batch, which partitions them across its shards and serves the
+/// shards concurrently. [`ShardedServiceSim::finish`] closes the Eq. 1
+/// accounting and returns the [`ServiceResult`]. Results are
 /// bit-identical for a fixed `(seed, shard count)` at any worker thread
 /// count.
 #[derive(Debug)]
@@ -799,9 +630,11 @@ impl<B: StorageBackend> ShardedServiceSim<B> {
     }
 
     /// Builds a front-end over a sharded backend whose clock is already
-    /// running, with every client's first arrival offset by
-    /// `start_cycle` — the sharded counterpart of [`ServiceSim::resume`]
-    /// for phase-chained soak runs.
+    /// running — typically one returned by a previous phase's
+    /// [`ShardedServiceSim::finish`] — with every client's first arrival
+    /// offset by `start_cycle`. Stash occupancy, position map and Eq. 1
+    /// accounting all carry over, so phase-chained soak runs observe one
+    /// continuous ORAM rather than a sequence of cold starts.
     ///
     /// # Errors
     ///
@@ -883,10 +716,12 @@ impl<B: StorageBackend> ShardedServiceSim<B> {
             let req = self.front.pop_leader(ci, now);
             let slot = self.leaders.len() as u32;
 
-            // MSHR sweep, as in the single-engine path; waiters remember
-            // which batch slot completes them. A later leader can never
-            // alias an earlier read leader's address — the sweep just
-            // emptied the queues of it.
+            // MSHR sweep: absorb every queued read of the same address
+            // (any client, any queue position) into this access. Writes
+            // never coalesce — they carry distinct payloads. Waiters
+            // remember which batch slot completes them. A later leader
+            // can never alias an earlier read leader's address — the
+            // sweep just emptied the queues of it.
             if self.front.cfg.coalescing && !req.write {
                 let buf = &mut self.waiter_buf;
                 for (i, c) in self.front.clients.iter_mut().enumerate() {
@@ -900,6 +735,10 @@ impl<B: StorageBackend> ShardedServiceSim<B> {
                     });
                 }
             }
+            // The group's effective arrival is its oldest member — the
+            // leader under FCFS/oldest-first, and still the honest
+            // choice under round-robin where an older waiter may ride
+            // along.
             let mut group_arrival = req.arrival;
             for (_, w, s) in &self.waiter_buf {
                 if *s == slot {
@@ -912,14 +751,26 @@ impl<B: StorageBackend> ShardedServiceSim<B> {
         if self.batch.is_empty() {
             return;
         }
-        self.backend.serve_batch(&self.batch, &mut self.outs);
+        // One shard serves the batch sequentially, so each slot is
+        // served and completed in turn: a live observer then sees the
+        // completions interleaved with the engine's own telemetry in time
+        // order. More shards serve the batch as one dispatch.
+        let sequential = self.backend.shard_count() == 1;
+        if !sequential {
+            self.backend.serve_batch(&self.batch, &mut self.outs);
+        }
 
         // Complete leaders in slot order, each followed by its waiters
         // (the sweep pushed them in slot-ascending order).
         let mut wi = 0;
         for slot in 0..self.leaders.len() {
             let (ci, req) = self.leaders[slot];
-            let out = self.outs[slot];
+            let out = if sequential {
+                let r = self.batch[slot];
+                self.backend.serve_request(r.addr, r.write, r.arrival)
+            } else {
+                self.outs[slot]
+            };
             let shard = self.backend.shard_of(req.addr) as u32;
             self.front.complete(ci as usize, &req, &out, true, shard);
             while wi < self.waiter_buf.len() && self.waiter_buf[wi].2 == slot as u32 {
@@ -968,10 +819,16 @@ mod tests {
     use super::*;
     use oram_sim::SystemConfig;
 
-    fn engine() -> Engine {
-        let mut e = Engine::new(SystemConfig::small_test()).expect("valid config");
-        e.prefill_working_set(512);
-        e
+    fn sharded(shards: usize, threads: usize) -> ShardedOram {
+        let mut b = ShardedOram::new(SystemConfig::small_test(), shards, threads)
+            .expect("valid config");
+        b.prefill_working_set(512);
+        b
+    }
+
+    /// The default service backend: one shard, served inline.
+    fn one_shard() -> ShardedOram {
+        sharded(1, 1)
     }
 
     fn quick_cfg(scheduler: SchedPolicy) -> ServiceConfig {
@@ -983,7 +840,7 @@ mod tests {
     #[test]
     fn generated_run_drains_and_validates() {
         for policy in SchedPolicy::ALL {
-            let mut sim = ServiceSim::new(quick_cfg(policy), engine()).unwrap();
+            let mut sim = ShardedServiceSim::new(quick_cfg(policy), one_shard()).unwrap();
             sim.run();
             let (res, _) = sim.finish();
             res.validate().unwrap_or_else(|e| panic!("{}: {e}", policy.name()));
@@ -995,7 +852,8 @@ mod tests {
     #[test]
     fn same_seed_same_result() {
         let run = || {
-            let mut sim = ServiceSim::new(quick_cfg(SchedPolicy::RoundRobin), engine()).unwrap();
+            let mut sim =
+                ShardedServiceSim::new(quick_cfg(SchedPolicy::RoundRobin), one_shard()).unwrap();
             sim.run();
             sim.finish().0
         };
@@ -1007,7 +865,7 @@ mod tests {
         let run = |seed| {
             let mut cfg = quick_cfg(SchedPolicy::Fcfs);
             cfg.seed = seed;
-            let mut sim = ServiceSim::new(cfg, engine()).unwrap();
+            let mut sim = ShardedServiceSim::new(cfg, one_shard()).unwrap();
             sim.run();
             sim.finish().0
         };
@@ -1020,7 +878,7 @@ mod tests {
         // policies must produce the same schedule (see SchedPolicy
         // docs); round-robin is the one allowed to differ.
         let run = |policy| {
-            let mut sim = ServiceSim::new(quick_cfg(policy), engine()).unwrap();
+            let mut sim = ShardedServiceSim::new(quick_cfg(policy), one_shard()).unwrap();
             sim.run();
             let (res, _) = sim.finish();
             res
@@ -1039,7 +897,7 @@ mod tests {
             let mut cfg = ServiceConfig::symmetric_open(2, 0, 1_000.0, 64, 5);
             cfg.scheduler = policy;
             cfg.coalescing = false;
-            let mut sim = ServiceSim::new(cfg, engine()).unwrap();
+            let mut sim = ShardedServiceSim::new(cfg, one_shard()).unwrap();
             for addr in [1, 2, 3] {
                 assert!(sim.inject(0, addr, false));
             }
@@ -1058,7 +916,7 @@ mod tests {
     fn injection_respects_queue_bound() {
         let mut cfg = ServiceConfig::symmetric_open(1, 0, 1_000.0, 64, 5);
         cfg.queue_capacity = 2;
-        let mut sim = ServiceSim::new(cfg, engine()).unwrap();
+        let mut sim = ShardedServiceSim::new(cfg, one_shard()).unwrap();
         assert!(sim.inject(0, 1, false));
         assert!(sim.inject(0, 2, false));
         assert!(!sim.inject(0, 3, false), "third injection must bounce");
@@ -1076,7 +934,7 @@ mod tests {
         for c in &mut cfg.clients {
             c.arrivals = ArrivalModel::Closed { think_cycles: 300.0 };
         }
-        let mut sim = ServiceSim::new(cfg, engine()).unwrap();
+        let mut sim = ShardedServiceSim::new(cfg, one_shard()).unwrap();
         sim.run();
         let (res, _) = sim.finish();
         res.validate().unwrap();
@@ -1090,7 +948,7 @@ mod tests {
         // accesses: queues must overflow.
         let mut cfg = ServiceConfig::symmetric_open(2, 200, 30.0, 256, 9);
         cfg.queue_capacity = 4;
-        let mut sim = ServiceSim::new(cfg, engine()).unwrap();
+        let mut sim = ShardedServiceSim::new(cfg, one_shard()).unwrap();
         sim.run();
         let (res, _) = sim.finish();
         res.validate().unwrap();
@@ -1107,7 +965,7 @@ mod tests {
                 c.addresses = AddressMix::Hot { domain: 256, hot_blocks: 2, hot_frac: 1.0 };
                 c.write_frac = 0.0;
             }
-            let mut sim = ServiceSim::new(cfg, engine()).unwrap();
+            let mut sim = ShardedServiceSim::new(cfg, one_shard()).unwrap();
             sim.run();
             let (res, _) = sim.finish();
             res.validate().unwrap();
@@ -1124,7 +982,7 @@ mod tests {
     fn writes_never_coalesce() {
         let mut cfg = ServiceConfig::symmetric_open(3, 0, 1_000.0, 64, 5);
         cfg.coalescing = true;
-        let mut sim = ServiceSim::new(cfg, engine()).unwrap();
+        let mut sim = ShardedServiceSim::new(cfg, one_shard()).unwrap();
         for c in 0..3 {
             assert!(sim.inject(c, 7, true));
         }
@@ -1167,7 +1025,7 @@ mod tests {
         // engine from the final cycle. Arrivals must start at or after
         // the resume point and the engine's cumulative accounting must
         // keep growing (no cold restart).
-        let mut p1 = ServiceSim::new(quick_cfg(SchedPolicy::Fcfs), engine()).unwrap();
+        let mut p1 = ShardedServiceSim::new(quick_cfg(SchedPolicy::Fcfs), one_shard()).unwrap();
         p1.run();
         let (r1, e1) = p1.finish();
         r1.validate().unwrap();
@@ -1176,7 +1034,7 @@ mod tests {
 
         let mut cfg2 = quick_cfg(SchedPolicy::Fcfs);
         cfg2.seed ^= 0x50AC;
-        let mut p2 = ServiceSim::resume(cfg2, e1, resume_at).unwrap();
+        let mut p2 = ShardedServiceSim::resume(cfg2, e1, resume_at).unwrap();
         p2.run();
         let (r2, e2) = p2.finish();
         r2.validate().unwrap();
@@ -1194,27 +1052,20 @@ mod tests {
     #[test]
     fn resume_at_zero_matches_new() {
         let run_new = || {
-            let mut s = ServiceSim::new(quick_cfg(SchedPolicy::Fcfs), engine()).unwrap();
+            let mut s = ShardedServiceSim::new(quick_cfg(SchedPolicy::Fcfs), one_shard()).unwrap();
             s.run();
             s.finish().0
         };
         let run_resume = || {
             let mut s =
-                ServiceSim::resume(quick_cfg(SchedPolicy::Fcfs), engine(), 0).unwrap();
+                ShardedServiceSim::resume(quick_cfg(SchedPolicy::Fcfs), one_shard(), 0).unwrap();
             s.run();
             s.finish().0
         };
         assert_eq!(run_new(), run_resume());
     }
 
-    // ---- sharded backend ----
-
-    fn sharded(shards: usize, threads: usize) -> ShardedOram {
-        let mut b = ShardedOram::new(SystemConfig::small_test(), shards, threads)
-            .expect("valid config");
-        b.prefill_working_set(512);
-        b
-    }
+    // ---- several shards ----
 
     #[test]
     fn sharded_run_drains_and_validates() {
@@ -1241,27 +1092,6 @@ mod tests {
         let one = run(1);
         assert_eq!(one, run(2));
         assert_eq!(one, run(4));
-    }
-
-    #[test]
-    fn one_shard_backend_matches_single_engine_outcomes() {
-        // Same leaders, same coalescing, same engine stream: the latency
-        // profile and merged statistics must match the reference path
-        // (wait accounting may differ — batches snapshot the clock once).
-        let mut plain = ServiceSim::new(quick_cfg(SchedPolicy::Fcfs), engine()).unwrap();
-        plain.run();
-        let (pres, _) = plain.finish();
-
-        let mut shardy = ShardedServiceSim::new(quick_cfg(SchedPolicy::Fcfs), sharded(1, 1)).unwrap();
-        shardy.run();
-        let (sres, _) = shardy.finish();
-
-        assert_eq!(pres.stats, sres.stats);
-        for (p, s) in pres.clients.iter().zip(&sres.clients) {
-            assert_eq!(p.latencies, s.latencies);
-            assert_eq!(p.served, s.served);
-            assert_eq!(p.issued, s.issued);
-        }
     }
 
     #[test]

@@ -314,8 +314,14 @@ impl<B: StorageBackend> Engine<B> {
     /// persistent backend the whole post-prefill tree is synced so the
     /// durable image starts consistent.
     pub fn prefill_working_set(&mut self, blocks: u64) {
-        self.controller
-            .prefill((0..blocks).map(|a| (BlockAddr::new(a), 0)));
+        self.prefill_blocks((0..blocks).map(BlockAddr::new));
+    }
+
+    /// Pre-installs the given blocks, in order, exactly as
+    /// [`Engine::prefill_working_set`] does for `0..blocks` (the sharded
+    /// backend hands each shard its slice of the working set).
+    pub fn prefill_blocks(&mut self, addrs: impl IntoIterator<Item = BlockAddr>) {
+        self.controller.prefill(addrs.into_iter().map(|a| (a, 0)));
         if self.backend.wants_payloads() {
             let tree = self.controller.tree();
             for raw in 1..=tree.shape().bucket_count() {

@@ -197,7 +197,9 @@ impl<B: StorageBackend> ShardedOram<B> {
     }
 
     /// Pre-installs the working set `0..blocks` (global addresses) across
-    /// the shards, mirroring [`Engine::prefill_working_set`].
+    /// the shards, mirroring [`Engine::prefill_working_set`]: each shard
+    /// installs its slice and, on a backend that stores payloads, syncs
+    /// its whole tree to the store.
     pub fn prefill_working_set(&mut self, blocks: u64) {
         let mut per_shard: Vec<Vec<u64>> = vec![Vec::new(); self.lanes.len()];
         for addr in 0..blocks {
@@ -205,9 +207,7 @@ impl<B: StorageBackend> ShardedOram<B> {
         }
         for (lane, addrs) in self.lanes.iter_mut().zip(per_shard) {
             let engine = lane.get_mut().expect("shard engine poisoned");
-            engine.controller_mut().prefill(
-                addrs.into_iter().map(|a| (oram_protocol::BlockAddr::new(a), 0)),
-            );
+            engine.prefill_blocks(addrs.into_iter().map(oram_protocol::BlockAddr::new));
         }
     }
 
@@ -434,6 +434,37 @@ mod tests {
             assert_eq!(outs[i], want, "request {i}");
         }
         assert_eq!(sharded.finish(), plain.finish());
+    }
+
+    #[test]
+    fn prefill_syncs_every_shard_store() {
+        use oram_protocol::BucketId;
+        use oram_storage::{DiskBackend, DiskConfig};
+
+        let cfg = SystemConfig::small_test();
+        let buckets = (1u64 << (cfg.oram.levels + 1)) - 1;
+        let root = std::env::temp_dir().join(format!("oram-shard-prefill-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let z = cfg.oram.z;
+        let mut sharded = ShardedOram::with_backend_factory(cfg, 2, 1, |i| {
+            DiskBackend::new(DiskConfig::new(root.join(format!("shard{i}")), z, buckets))
+        })
+        .unwrap();
+        sharded.prefill_working_set(96);
+        for s in 0..2 {
+            let engine = sharded.engine_mut(s);
+            let tree: Vec<Vec<_>> = (1..=buckets)
+                .map(|raw| engine.controller().tree().bucket(BucketId::new(raw)).to_vec())
+                .collect();
+            let store = engine.backend_mut().store();
+            for (b, want) in tree.iter().enumerate() {
+                let got = store.read_bucket(b as u64).unwrap();
+                assert_eq!(got.as_ref(), Some(want), "shard {s} bucket {b}");
+            }
+            assert!(engine.backend_mut().take_io_error().is_none());
+        }
+        drop(sharded);
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

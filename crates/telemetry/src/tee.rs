@@ -14,8 +14,8 @@ use oram_util::{AccessSpan, MetricId, SharedTelemetry, TelemetrySink, WindowSamp
 
 /// A [`TelemetrySink`] that forwards each event to two shared sinks in
 /// a fixed order. Forwarding takes each downstream lock per event; both
-/// locks are uncontended in the single-engine attachment this is built
-/// for, and the tee itself performs no allocation.
+/// locks are uncontended in the one-shard attachment this is built for,
+/// and the tee itself performs no allocation.
 #[derive(Debug)]
 pub struct TeeSink {
     primary: SharedTelemetry,
