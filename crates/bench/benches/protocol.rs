@@ -1,6 +1,6 @@
 //! Micro-benchmarks of the ORAM protocol layer: controller access
-//! throughput per duplication policy, stash primitives, an eviction-heavy
-//! duplication scenario, a stash-capacity sweep — and a hard
+//! throughput per duplication policy, stash primitives, eviction-heavy
+//! scenarios with and without duplication, a stash-capacity sweep — and a hard
 //! zero-allocation check over the steady-state access loop.
 //!
 //! Run with `cargo bench --bench protocol`. The allocation check exits
@@ -69,29 +69,21 @@ fn eviction_path() {
     println!("{r}");
 }
 
-/// An eviction-heavy access mix shaped like the `replay-dyn-tp` benchmark
-/// workload: L=14, Z=5, M=200, dynamic partitioning with a 3-bit DRI
-/// counter, about 30% dummy requests (timing protection), 60% of the real
-/// requests to a hot tenth of the working set, 30% writes. After warmup
-/// the stash is full of shadows, so a path write offers up to about 200
-/// duplication candidates and every insert displaces a victim.
-fn eviction_dyn_tp() {
-    println!("-- eviction-heavy access, replay-dyn-tp shape (L=14 Z=5 M=200 dynamic3) --");
-    let cfg = OramConfig::paper_table1()
-        .with_levels(14)
-        .with_dup_policy(DupPolicy::Dynamic { counter_bits: 3 });
+/// Times a mixed access loop after a warm-up: a `dummy_frac` share of
+/// dummy requests, then 60% of the real requests to a hot tenth of the
+/// `working_set`-block working set, 30% writes.
+fn mixed_access(name: &str, cfg: OramConfig, working_set: u64, dummy_frac: f64) {
     let mut ctl = OramController::new(cfg).unwrap();
-    const WORKING_SET: u64 = 8192;
-    ctl.prefill((0..WORKING_SET).map(|i| (BlockAddr::new(i), i)));
+    ctl.prefill((0..working_set).map(|i| (BlockAddr::new(i), i)));
     let mut rng = Rng64::seed_from_u64(7);
     let mut step = move |ctl: &mut OramController| {
-        if rng.gen_bool(0.3) {
+        if rng.gen_bool(dummy_frac) {
             return ctl.dummy_access();
         }
         let addr = if rng.gen_bool(0.6) {
-            rng.below(WORKING_SET / 10)
+            rng.below(working_set / 10)
         } else {
-            rng.below(WORKING_SET)
+            rng.below(working_set)
         };
         let addr = BlockAddr::new(addr);
         if rng.gen_bool(0.3) {
@@ -103,7 +95,7 @@ fn eviction_dyn_tp() {
     for _ in 0..20_000 {
         black_box(step(&mut ctl));
     }
-    let r = bench("eviction/dyn_tp_L14_M200", 20, 2000, || black_box(step(&mut ctl)));
+    let r = bench(name, 20, 2000, || black_box(step(&mut ctl)));
     println!("{r}");
     let stash = ctl.stash();
     println!(
@@ -113,6 +105,29 @@ fn eviction_dyn_tp() {
         stash.live(),
         stash.shadow_entries().count()
     );
+}
+
+/// An eviction-heavy access mix shaped like the `replay-dyn-tp` benchmark
+/// workload: L=14, Z=5, M=200, dynamic partitioning with a 3-bit DRI
+/// counter, about 30% dummy requests (timing protection). After warmup
+/// the stash is full of shadows, so a path write offers up to about 200
+/// duplication candidates and every insert displaces a victim.
+fn eviction_dyn_tp() {
+    println!("-- eviction-heavy access, replay-dyn-tp shape (L=14 Z=5 M=200 dynamic3) --");
+    let cfg = OramConfig::paper_table1()
+        .with_levels(14)
+        .with_dup_policy(DupPolicy::Dynamic { counter_bits: 3 });
+    mixed_access("eviction/dyn_tp_L14_M200", cfg, 8192, 0.3);
+}
+
+/// The access mix of one `serve-sharded` benchmark shard: L=12, Z=5,
+/// M=200, duplication off, no dummies, a 1024-block working set (the
+/// workload's 4096 addresses over four shards). With duplication off the
+/// eviction write half is the stash greedy and dummy fill.
+fn eviction_serve() {
+    println!("-- eviction-heavy access, serve-sharded shape (L=12 Z=5 M=200 dup off) --");
+    let cfg = OramConfig::paper_table1().with_levels(12).with_dup_policy(DupPolicy::Off);
+    mixed_access("eviction/serve_L12_M200_dup_off", cfg, 1024, 0.0);
 }
 
 /// Controller access cost as the stash capacity grows with the load held
@@ -215,6 +230,7 @@ fn main() {
     stash_ops();
     eviction_path();
     eviction_dyn_tp();
+    eviction_serve();
     stash_capacity_sweep();
     let mut ok = steady_state_allocation_check();
     ok &= recursive_plb_hit_allocation_check();

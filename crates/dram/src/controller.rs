@@ -13,9 +13,13 @@
 //! burst length).
 //!
 //! The per-block path is free of pointer chasing and division: banks
-//! live in one flat `Vec` indexed `rank * banks + bank`, and queued
-//! transactions are compact entries in one reused `Vec`, threaded in
-//! arrival order by `u32` links so the FR-FCFS winner unlinks in O(1).
+//! live in one flat `Vec` indexed `rank * banks + bank`. Consecutively
+//! submitted transactions with one bank, row, direction and arrival queue
+//! as one *run*: a compact entry in one reused `Vec`, threaded in arrival
+//! order by `u32` links so the FR-FCFS winner unlinks in O(1). Once a pick
+//! selects a run's first transaction, the rest would win the next picks
+//! one by one, so the whole run is served in closed form instead (see
+//! `Channel::serve_rest`).
 
 use crate::address::Location;
 use crate::bank::{Bank, Command, RowState};
@@ -171,68 +175,97 @@ pub struct ChannelStats {
 /// End-of-list link in the channel's transaction queue.
 const NIL: u32 = u32::MAX;
 
-/// A queued transaction in the compact form the scheduler walks: only
-/// the fields service needs, plus the intrusive link to the next-younger
-/// queued entry.
+/// A run of consecutively submitted transactions with one bank, row,
+/// direction and arrival, in the compact form the scheduler walks: the
+/// fields service needs, the span of the run's ids, and the intrusive
+/// link to the next-younger queued run.
 #[derive(Debug, Clone, Copy)]
-struct Queued {
-    id: u64,
+struct Run {
+    /// The run's transaction ids are `ids[start..start + len]`.
+    start: u32,
+    len: u32,
     row: u64,
     arrival: i64,
     /// Flat bank index, `rank * banks + bank`.
     bank: u32,
     rank: u32,
     is_write: bool,
-    /// Index of the next-younger queued entry, or [`NIL`].
+    /// Index of the next-younger queued run, or [`NIL`].
     next: u32,
 }
 
-/// The transaction queue: entries in arrival order in one reused `Vec`,
-/// threaded by `next` links so the scheduler can unlink any entry in
-/// O(1). Unlinked entries stay in the `Vec` until the queue empties,
-/// when it is cleared (keeping its capacity). Entries are unlinked only
-/// by a drain, which runs until the queue is empty, so `tail` is only
-/// read by pushes onto a queue nothing has been unlinked from.
+/// The transaction queue: runs in arrival order in one reused `Vec`,
+/// threaded by `next` links so the scheduler can unlink any run in O(1),
+/// with their ids in submission order in a second one. Unlinked runs stay
+/// in the `Vec` until the queue empties, when both are cleared (keeping
+/// their capacity). Runs are unlinked only by a drain, which runs until
+/// the queue is empty, so `tail` is only read by pushes onto a queue
+/// nothing has been unlinked from.
 #[derive(Debug, Clone)]
 struct TxQueue {
-    entries: Vec<Queued>,
+    runs: Vec<Run>,
+    ids: Vec<u64>,
     head: u32,
     tail: u32,
+    /// Queued transactions.
     len: usize,
 }
 
 impl TxQueue {
     fn new() -> Self {
-        TxQueue { entries: Vec::new(), head: NIL, tail: NIL, len: 0 }
+        TxQueue { runs: Vec::new(), ids: Vec::new(), head: NIL, tail: NIL, len: 0 }
     }
 
-    fn push(&mut self, q: Queued) {
-        assert!(self.entries.len() < NIL as usize, "channel queue index space exhausted");
-        let i = self.entries.len() as u32;
-        self.entries.push(q);
-        if self.len == 0 {
+    /// Appends `t`, whose flat bank index is `bank`: to the tail run if it
+    /// shares the run's bank, row, direction and arrival, else as a new run.
+    fn push(&mut self, t: &Transaction, bank: u32) {
+        assert!(self.ids.len() < NIL as usize, "channel queue index space exhausted");
+        self.ids.push(t.id);
+        self.len += 1;
+        if self.len > 1 {
+            let tail = &mut self.runs[self.tail as usize];
+            if tail.bank == bank
+                && tail.row == t.loc.row
+                && tail.is_write == t.is_write
+                && tail.arrival == t.arrival
+            {
+                tail.len += 1;
+                return;
+            }
+        }
+        let i = self.runs.len() as u32;
+        self.runs.push(Run {
+            start: self.ids.len() as u32 - 1,
+            len: 1,
+            row: t.loc.row,
+            arrival: t.arrival,
+            bank,
+            rank: t.loc.rank as u32,
+            is_write: t.is_write,
+            next: NIL,
+        });
+        if self.len == 1 {
             self.head = i;
         } else {
-            self.entries[self.tail as usize].next = i;
+            self.runs[self.tail as usize].next = i;
         }
         self.tail = i;
-        self.len += 1;
     }
 
-    /// Unlinks entry `cur`, whose predecessor in the list is `prev`
-    /// ([`NIL`] for the head), and returns it.
-    fn unlink(&mut self, prev: u32, cur: u32) -> Queued {
-        let q = self.entries[cur as usize];
+    /// Unlinks run `cur`, whose predecessor in the list is `prev` ([`NIL`]
+    /// for the head).
+    fn unlink(&mut self, prev: u32, cur: u32) {
+        let r = self.runs[cur as usize];
         if prev == NIL {
-            self.head = q.next;
+            self.head = r.next;
         } else {
-            self.entries[prev as usize].next = q.next;
+            self.runs[prev as usize].next = r.next;
         }
-        self.len -= 1;
+        self.len -= r.len as usize;
         if self.len == 0 {
-            self.entries.clear();
+            self.runs.clear();
+            self.ids.clear();
         }
-        q
     }
 }
 
@@ -291,6 +324,8 @@ pub struct Channel {
     bank_touches: Vec<u64>,
     /// Active service cycles per bank (`[rank][bank]` flattened).
     bank_busy: Vec<u64>,
+    /// FR-FCFS selections made since the channel was created.
+    picks: u64,
 }
 
 impl Channel {
@@ -310,6 +345,7 @@ impl Channel {
             queue_depth_hist: [0; QUEUE_DEPTH_BUCKETS],
             bank_touches: vec![0; bank_count],
             bank_busy: vec![0; bank_count],
+            picks: 0,
             cfg,
         }
     }
@@ -354,6 +390,12 @@ impl Channel {
         self.energy
     }
 
+    /// FR-FCFS selections made so far. Each serves one same-row run, so
+    /// serviced transactions per pick is the mean run length.
+    pub fn fr_fcfs_picks(&self) -> u64 {
+        self.picks
+    }
+
     /// Enqueues a transaction.
     ///
     /// # Panics
@@ -368,15 +410,7 @@ impl Channel {
             t.loc.bank
         );
         self.queue_depth_hist[self.queue.len.min(QUEUE_DEPTH_BUCKETS - 1)] += 1;
-        self.queue.push(Queued {
-            id: t.id,
-            row: t.loc.row,
-            arrival: t.arrival,
-            bank: (t.loc.rank * self.cfg.banks + t.loc.bank) as u32,
-            rank: t.loc.rank as u32,
-            is_write: t.is_write,
-            next: NIL,
-        });
+        self.queue.push(&t, (t.loc.rank * self.cfg.banks + t.loc.bank) as u32);
     }
 
     /// Services the whole queue, returning completions in finish order.
@@ -406,31 +440,112 @@ impl Channel {
     ) {
         while self.queue.len > 0 {
             let (prev, cur) = self.pick_fr_fcfs();
-            let t = self.queue.unlink(prev, cur);
-            let finish = self.service_one(&t, now, occupy_bus);
-            sink(Completion { id: t.id, finish });
+            self.picks += 1;
+            let run = self.queue.runs[cur as usize];
+            let finish = self.service_one(&run, now, occupy_bus);
+            sink(Completion { id: self.queue.ids[run.start as usize], finish });
+            if run.len > 1 {
+                self.serve_rest(&run, now, occupy_bus, &mut sink);
+            }
+            self.queue.unlink(prev, cur);
         }
     }
 
+    /// Serves, in closed form, all but the first transaction of `run`,
+    /// whose first transaction the FR-FCFS pick just serviced.
+    ///
+    /// Each of them would be the next FR-FCFS winner anyway. If the pick
+    /// was an open-row one, every older transaction's row was closed, and
+    /// serving the first opened no other row; if the pick was the head,
+    /// nothing is older. So the oldest open-row transaction is always the
+    /// run's next one. The run shares one `base = max(now, arrival)`, and
+    /// the first transaction's refresh check already moved the rank's
+    /// deadline past it, so no refresh fires inside the run. Every later
+    /// transaction is a row hit whose column command waits on the same
+    /// `bank.earliest(cmd)`; on the data bus they issue one burst apart,
+    /// off it all at once.
+    fn serve_rest(
+        &mut self,
+        run: &Run,
+        now: i64,
+        occupy_bus: bool,
+        sink: &mut impl FnMut(Completion),
+    ) {
+        let cfg = self.cfg;
+        let flat = run.bank as usize;
+        let base = now.max(run.arrival);
+        let cmd = if run.is_write { Command::Write } else { Command::Read };
+        let latency = if run.is_write { cfg.cwl } else { cfg.cl } as i64;
+        let burst = cfg.burst_cycles() as i64;
+        let use_bus = occupy_bus || run.is_write;
+        let bank_ready = self.banks[flat].earliest(cmd, &cfg).max(base);
+        let first_issue =
+            if use_bus { bank_ready.max(self.bus_free - latency) } else { bank_ready };
+        let step = if use_bus { burst } else { 0 };
+
+        let rest = &self.queue.ids[run.start as usize + 1..(run.start + run.len) as usize];
+        let mut issue = first_issue;
+        for &id in rest {
+            sink(Completion { id, finish: issue + latency + burst });
+            issue += step;
+        }
+        let last_issue = issue - step;
+        let last_finish = last_issue + latency + burst;
+        let count = rest.len() as u64;
+
+        // Bank timing is monotone in the issue time, so committing the
+        // run's last column command leaves the bank as committing each.
+        self.banks[flat].issue(cmd, last_issue, run.row, &cfg);
+        if use_bus {
+            self.bus_free = last_finish;
+            self.busy_cycles += count * cfg.burst_cycles();
+        }
+        // Strict `>` keeps the earliest of equal finishes: the last
+        // transaction when bursts are spaced on the bus, else the first.
+        let crit_issue = if step > 0 { last_issue } else { first_issue };
+        let crit_finish = crit_issue + latency + burst;
+        if self.batch_crit.is_none_or(|c| crit_finish > c.finish) {
+            self.batch_crit = Some(TxBreakdown {
+                queue: (crit_issue - base) as u64,
+                row: 0,
+                transfer: (latency + burst) as u64,
+                finish: crit_finish,
+            });
+        }
+        self.bank_touches[flat] += count;
+        self.bank_busy[flat] += count * (latency + burst) as u64;
+        self.stats.row_hits += count;
+        if run.is_write {
+            self.stats.writes += count;
+            self.energy.write_bursts += count;
+        } else {
+            self.stats.reads += count;
+            self.energy.read_bursts += count;
+        }
+        self.energy.busy_until = self.energy.busy_until.max(last_finish);
+    }
+
     /// FR-FCFS: the oldest transaction whose row is open wins; otherwise
-    /// the oldest overall. Returns `(predecessor, winner)` list indices.
+    /// the oldest overall. A run's transactions share a row, so the walk
+    /// visits runs. Returns `(predecessor, winner)` run indices.
     fn pick_fr_fcfs(&self) -> (u32, u32) {
-        let entries = &self.queue.entries;
+        let runs = &self.queue.runs;
         let mut prev = NIL;
         let mut cur = self.queue.head;
         while cur != NIL {
-            let q = &entries[cur as usize];
-            if self.banks[q.bank as usize].is_open(q.row) {
+            let r = &runs[cur as usize];
+            if self.banks[r.bank as usize].is_open(r.row) {
                 return (prev, cur);
             }
             prev = cur;
-            cur = q.next;
+            cur = r.next;
         }
         (NIL, self.queue.head)
     }
 
-    /// Issues all commands needed by `t` and returns its data-finish time.
-    fn service_one(&mut self, t: &Queued, now: i64, occupy_bus: bool) -> i64 {
+    /// Issues all commands needed by the first transaction of run `t` and
+    /// returns its data-finish time.
+    fn service_one(&mut self, t: &Run, now: i64, occupy_bus: bool) -> i64 {
         let cfg = self.cfg;
         let base = now.max(t.arrival);
         let flat = t.bank as usize;
@@ -507,9 +622,9 @@ impl Channel {
         finish
     }
 
-    /// Issues an activate of `t`'s row respecting tRRD and tFAW for the
+    /// Issues an activate of run `t`'s row respecting tRRD and tFAW for the
     /// rank, returning the cycle the activate was committed at.
-    fn activate(&mut self, t: &Queued, base: i64) -> i64 {
+    fn activate(&mut self, t: &Run, base: i64) -> i64 {
         let cfg = self.cfg;
         let bank = &mut self.banks[t.bank as usize];
         let window = &mut self.recent_activates[t.rank as usize];

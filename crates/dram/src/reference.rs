@@ -348,4 +348,162 @@ mod tests {
         let cfg = DramConfig { ranks: 1, banks: 1, ..DramConfig::ddr3_1333() };
         run_differential(0xB0B, cfg);
     }
+
+    /// Submits `txs` to both channels in order, drains both, and asserts
+    /// that they agree on every completion (in service order) and every
+    /// counter. Returns the last finish.
+    fn drain_agrees(
+        fast: &mut Channel,
+        slow: &mut RefChannel,
+        txs: &[Transaction],
+        now: i64,
+        occupy_bus: bool,
+        ctx: &str,
+    ) -> i64 {
+        fast.begin_batch();
+        slow.begin_batch();
+        for &t in txs {
+            fast.submit(t);
+            slow.submit(t);
+        }
+        assert_same_state(fast, slow, ctx);
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        fast.drain_unordered(now, occupy_bus, |c| got.push(c));
+        slow.drain_unordered(now, occupy_bus, |c| want.push(c));
+        assert_eq!(got, want, "{ctx}: completions");
+        assert_same_state(fast, slow, ctx);
+        got.iter().map(|c| c.finish).max().unwrap_or(now)
+    }
+
+    /// A same-row run: `len` transactions on one bank and row, in one
+    /// direction, arriving together, columns ascending.
+    fn run_of(
+        first_id: u64,
+        loc: Location,
+        is_write: bool,
+        arrival: i64,
+        len: u64,
+    ) -> Vec<Transaction> {
+        (0..len)
+            .map(|i| Transaction {
+                id: first_id + i,
+                loc: Location { column: (loc.column + i as usize) % 128, ..loc },
+                is_write,
+                arrival,
+            })
+            .collect()
+    }
+
+    /// Run-shaped batches as an ORAM path produces them: each submit is a
+    /// few long same-row runs (reads, writes or both), over few rows so
+    /// runs also meet open rows and conflicts left by earlier ones.
+    fn run_differential_runs(seed: u64, cfg: DramConfig, occupy_bus: Option<bool>) {
+        let mut rng = Rng64::seed_from_u64(seed);
+        let mut fast = Channel::new(cfg);
+        let mut slow = RefChannel::new(cfg);
+        let (mut now, mut next_id) = (0i64, 0u64);
+        let mut txs = Vec::new();
+        for round in 0..200 {
+            let ctx = format!("runs seed={seed:#x} round={round} trefi={}", cfg.trefi);
+            let occupy_bus = occupy_bus.unwrap_or_else(|| rng.below(2) == 0);
+            let direction = rng.below(3); // all reads, all writes, mixed
+            txs.clear();
+            for _ in 0..rng.below(3) + 1 {
+                let arrival = now + rng.below(3) as i64 * rng.below(400) as i64;
+                for _ in 0..rng.below(6) + 1 {
+                    let loc = Location {
+                        channel: 0,
+                        rank: rng.below(cfg.ranks as u64) as usize,
+                        bank: rng.below(cfg.banks.min(2) as u64) as usize,
+                        row: rng.below(3),
+                        column: rng.below(128) as usize,
+                    };
+                    let is_write = match direction {
+                        0 => false,
+                        1 => true,
+                        _ => rng.below(2) == 0,
+                    };
+                    let len = 1 + rng.below(64);
+                    txs.extend(run_of(next_id, loc, is_write, arrival, len));
+                    next_id += len;
+                }
+            }
+            let last = drain_agrees(&mut fast, &mut slow, &txs, now, occupy_bus, &ctx);
+            now = match rng.below(3) {
+                0 => now + rng.below(50) as i64,
+                1 => last,
+                _ => last + rng.below(20_000) as i64,
+            };
+        }
+    }
+
+    #[test]
+    fn same_row_runs_match_reference_scheduler() {
+        let mut cfg = DramConfig::ddr3_1333();
+        for seed in [11u64, 12, 0x5A_4E] {
+            for occupy_bus in [None, Some(false), Some(true)] {
+                cfg.trefi = 0;
+                run_differential_runs(seed, cfg, occupy_bus);
+                cfg.trefi = DramConfig::ddr3_1333().trefi;
+                run_differential_runs(seed, cfg, occupy_bus);
+                cfg.trefi = 300;
+                cfg.trfc = 40;
+                run_differential_runs(seed, cfg, occupy_bus);
+                cfg.trfc = DramConfig::ddr3_1333().trfc;
+            }
+        }
+    }
+
+    /// Same-row transactions of two submits with different arrivals form
+    /// two runs: the later one waits for its own arrival, and a refresh
+    /// deadline between the arrivals fires before it.
+    #[test]
+    fn same_row_submits_with_other_arrivals_stay_apart() {
+        let cfg = DramConfig::ddr3_1333();
+        let trefi = cfg.trefi as i64;
+        let loc = AddressMapping::new(&cfg, Interleave::RowRankBankColChan).decode(0);
+        for occupy_bus in [true, false] {
+            for is_write in [false, true] {
+                for (first, second) in [(0, 40), (0, 3_000), (trefi - 60, trefi + 5)] {
+                    let ctx = format!("arrivals {first}/{second} write={is_write} bus={occupy_bus}");
+                    let mut fast = Channel::new(cfg);
+                    let mut slow = RefChannel::new(cfg);
+                    let mut txs = run_of(0, loc, is_write, first, 16);
+                    txs.extend(run_of(16, loc, is_write, second, 16));
+                    drain_agrees(&mut fast, &mut slow, &txs, 0, occupy_bus, &ctx);
+                    assert_eq!(fast.fr_fcfs_picks(), 2, "{ctx}: one pick per run");
+                }
+            }
+        }
+    }
+
+    /// A run queued behind an older entry whose row is closed: served
+    /// first when its row is open (an open-row pick past the head), or
+    /// after the head when no row is open.
+    #[test]
+    fn run_behind_an_older_closed_row_entry_matches_reference() {
+        let cfg = DramConfig { trefi: 0, ..DramConfig::ddr3_1333() };
+        let loc = AddressMapping::new(&cfg, Interleave::RowRankBankColChan).decode(0);
+        let other_row = Location { row: loc.row + 1, ..loc };
+        let other_bank = Location { bank: (loc.bank + 1) % cfg.banks, ..loc };
+        for is_write in [false, true] {
+            for occupy_bus in [true, false] {
+                for (name, blocker) in [("conflict", other_row), ("other bank", other_bank)] {
+                    let ctx = format!("{name} write={is_write} bus={occupy_bus}");
+                    let mut fast = Channel::new(cfg);
+                    let mut slow = RefChannel::new(cfg);
+                    // No row open yet: the head is served first.
+                    let mut txs = run_of(0, blocker, false, 0, 1);
+                    txs.extend(run_of(1, loc, is_write, 0, 24));
+                    let now = drain_agrees(&mut fast, &mut slow, &txs, 0, occupy_bus, &ctx);
+                    // The run's row is now open and the blocker's closed
+                    // (or on another bank, idle): the run overtakes it.
+                    let mut txs = run_of(100, other_row, false, now, 1);
+                    txs.extend(run_of(101, loc, is_write, now, 24));
+                    txs.extend(run_of(200, blocker, true, now, 3));
+                    drain_agrees(&mut fast, &mut slow, &txs, now, occupy_bus, &ctx);
+                }
+            }
+        }
+    }
 }

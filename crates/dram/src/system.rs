@@ -211,6 +211,12 @@ impl DramSystem {
         total
     }
 
+    /// FR-FCFS selections made so far across channels (see
+    /// [`Channel::fr_fcfs_picks`]).
+    pub fn fr_fcfs_picks(&self) -> u64 {
+        self.channels.iter().map(Channel::fr_fcfs_picks).sum()
+    }
+
     /// Merged energy counters across channels.
     pub fn energy(&self) -> EnergyCounters {
         self.channels

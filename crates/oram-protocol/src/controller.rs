@@ -888,6 +888,9 @@ impl OramController {
         self.emit(BusEvent::PhaseEnd(BusPhase::EvictionRead));
 
         // ---- Write half: Algorithm 1, leaf to root. ----
+        // The greedy is planned once here: from now on the write half only
+        // turns live stash blocks into evicted ones.
+        self.stash.plan_eviction(&self.shape, leaf);
         let partition_level = self.current_partition_level();
         self.dup_queues.clear();
         // Stash-resident shadows whose real copy is in the tree are also
@@ -943,11 +946,8 @@ impl OramController {
             }
             for slot in 0..z {
                 // stash_blk_select: deepest-fitting live block.
-                let chosen =
-                    self.stash.select_for_eviction(&self.shape, leaf, level);
-                let new_block = if let Some(addr) = chosen {
-                    let blk = self.stash.mark_evicted(addr);
-                    self.posmap.set_site(addr, RealCopySite::Tree { level });
+                let new_block = if let Some(blk) = self.stash.evict_planned(level) {
+                    self.posmap.set_site(blk.addr, RealCopySite::Tree { level });
                     self.stats.real_blocks_written += 1;
                     // Freshly written blocks become duplication candidates
                     // for shallower (later-written) slots.

@@ -14,7 +14,10 @@
 //! per entry class (live real, evicted real, shadow), updated at every slot
 //! mutation. The eviction greedy walks only the live-real bits, victim
 //! search takes the first set bit, and shadow recirculation walks only the
-//! shadow bits — so none of them scans the full capacity `M`.
+//! shadow bits — so none of them scans the full capacity `M`. The greedy
+//! walks them once per eviction: [`Stash::plan_eviction`] groups the live
+//! real blocks by how deep they fit, and [`Stash::evict_planned`] answers
+//! each bucket slot from those groups.
 
 use oram_util::FixedAddrMap;
 
@@ -96,6 +99,8 @@ pub struct Stash {
     /// Live (non-replaceable) entry count, maintained incrementally so
     /// the high-water bookkeeping is O(1) per insert instead of a scan.
     live_count: usize,
+    /// The current eviction's greedy (see [`Stash::plan_eviction`]).
+    plan: EvictionPlan,
     stats: StashStats,
 }
 
@@ -114,6 +119,7 @@ impl Stash {
             index: FixedAddrMap::with_capacity(capacity),
             free: (0..capacity).rev().collect(),
             live_count: 0,
+            plan: EvictionPlan::new(capacity),
             stats: StashStats::default(),
         }
     }
@@ -393,31 +399,57 @@ impl Stash {
         true
     }
 
-    /// Selects the live real block best suited for the bucket at
-    /// `slot_level` on the path to `eviction_leaf`: among the eligible
-    /// blocks (whose label path passes through that bucket) the one whose
-    /// path stays joined with the eviction path deepest — the standard
-    /// "as deep as possible" greedy of Path ORAM.
+    /// Plans the greedy of one eviction write half to `eviction_leaf`:
+    /// each live real block's common level with the eviction path is
+    /// computed once, and the blocks are grouped by it, each group in
+    /// ascending slot order. [`Stash::evict_planned`] then fills each
+    /// bucket slot from the groups. The write half only ever turns live
+    /// blocks into evicted ones, never the reverse, so the groups stay
+    /// exact for the whole write half. O(live + M/64); no allocation.
     ///
-    /// Tie-break: deepest common level with `eviction_leaf`, then the
-    /// lowest slot index. Walks only the live-real slots, so the cost is
-    /// O(live + M/64), not O(M); each slot is scored as
-    /// `(common level, !slot)` packed into one integer (zero when it does
-    /// not fit) and the walk keeps the maximum, without a data-dependent
-    /// branch.
-    pub fn select_for_eviction(
-        &self,
-        shape: &TreeShape,
-        eviction_leaf: LeafLabel,
-        slot_level: u32,
-    ) -> Option<BlockAddr> {
-        let mut best = 0u64;
+    /// The plan stays valid while the stash changes only through
+    /// [`Stash::evict_planned`]; any other mutation needs a new plan.
+    pub fn plan_eviction(&mut self, shape: &TreeShape, eviction_leaf: LeafLabel) {
+        let plan = &mut self.plan;
+        plan.nonempty = 0;
         for slot in self.classes[SlotClass::LiveReal as usize].iter() {
-            let cl = shape.common_level(eviction_leaf, self.entry(slot).block.label);
-            let score = (u64::from(cl) << 32) | u64::from(!(slot as u32));
-            best = best.max(if cl >= slot_level { score } else { 0 });
+            let entry = self.slots[slot].as_ref().expect("indexed slot must be occupied");
+            let level = shape.common_level(eviction_leaf, entry.block.label) as usize;
+            let slot = slot as u32;
+            if plan.nonempty & (1 << level) == 0 {
+                plan.nonempty |= 1 << level;
+                plan.head[level] = slot;
+            } else {
+                plan.next[plan.tail[level] as usize] = slot;
+            }
+            plan.tail[level] = slot;
+            plan.next[slot as usize] = NIL;
         }
-        (best != 0).then(|| self.entry(!(best as u32) as usize).block.addr)
+    }
+
+    /// Evicts the live real block best suited for the bucket at
+    /// `slot_level` on the planned eviction path, marks it evicted and
+    /// returns it; `None` when no live block's path passes through that
+    /// bucket. The pick is the standard "as deep as possible" greedy of
+    /// Path ORAM: the block whose path stays joined with the eviction path
+    /// deepest, ties to the lowest slot index — the deepest non-empty
+    /// group, found through its bitmask, and that group's first block.
+    pub fn evict_planned(&mut self, slot_level: u32) -> Option<Block> {
+        let plan = &mut self.plan;
+        let level = 63u32.checked_sub(plan.nonempty.leading_zeros())?;
+        if level < slot_level {
+            return None;
+        }
+        let slot = plan.head[level as usize];
+        match plan.next[slot as usize] {
+            NIL => plan.nonempty &= !(1 << level),
+            next => plan.head[level as usize] = next,
+        }
+        debug_assert!(
+            self.classes[SlotClass::LiveReal as usize].contains(slot as usize),
+            "the stash changed since the eviction was planned"
+        );
+        Some(self.mark_slot_evicted(slot as usize))
     }
 
     /// Marks `addr` as evicted (replaceable) after it has been written back
@@ -425,10 +457,13 @@ impl Stash {
     ///
     /// # Panics
     ///
-    /// Panics if `addr` is not resident — callers must only evict blocks
-    /// selected by [`Stash::select_for_eviction`].
+    /// Panics if `addr` is not resident.
     pub fn mark_evicted(&mut self, addr: BlockAddr) -> Block {
         let slot = self.index.get(addr.raw()).expect("evicted block resident") as usize;
+        self.mark_slot_evicted(slot)
+    }
+
+    fn mark_slot_evicted(&mut self, slot: usize) -> Block {
         let entry = self.slots[slot].as_mut().expect("selected entry present");
         let from = SlotClass::of(entry);
         entry.replaceable = true;
@@ -516,6 +551,29 @@ impl SlotClass {
         } else {
             SlotClass::LiveReal
         }
+    }
+}
+
+/// End-of-group link in an [`EvictionPlan`].
+const NIL: u32 = u32::MAX;
+
+/// One eviction's greedy: the live real slots grouped by their common
+/// level with the eviction leaf. Group `l` is a list in ascending slot
+/// order threaded through `next`, from `head[l]` to `tail[l]`; bit `l` of
+/// `nonempty` says whether it has any slot left. Common levels are below
+/// 48 ([`TreeShape::new`]), so one `u64` covers them.
+#[derive(Debug, Clone)]
+struct EvictionPlan {
+    /// `next[slot]`: the following slot of `slot`'s group, or [`NIL`].
+    next: Vec<u32>,
+    head: [u32; 64],
+    tail: [u32; 64],
+    nonempty: u64,
+}
+
+impl EvictionPlan {
+    fn new(capacity: usize) -> Self {
+        EvictionPlan { next: vec![NIL; capacity], head: [NIL; 64], tail: [NIL; 64], nonempty: 0 }
     }
 }
 
@@ -700,6 +758,63 @@ mod tests {
             s.select_for_eviction(&shape, leaf, 2),
             Some(BlockAddr::new(2))
         );
+        // The plan fills a path write leaf to root the same way.
+        s.plan_eviction(&shape, leaf);
+        let mut planned = |level| s.evict_planned(level).map(|b| b.addr.raw());
+        assert_eq!(planned(3), None);
+        assert_eq!(planned(2), Some(2));
+        assert_eq!(planned(1), None, "blk 1 fits only the root");
+        assert_eq!(planned(0), Some(1));
+        assert_eq!(planned(0), None);
+    }
+
+    /// The once-per-eviction plan picks exactly what the per-slot greedy
+    /// picks, slot after slot, as each pick is marked evicted: over random
+    /// stash contents, eviction leaves, depths 1–31 and bucket sizes, with
+    /// levels skipped.
+    #[test]
+    fn eviction_plan_matches_per_slot_greedy() {
+        let mut rng = oram_util::Rng64::seed_from_u64(0xE71C);
+        for trial in 0..600 {
+            let levels = 1 + rng.below(31) as u32;
+            let z = 1 + rng.below(6) as usize;
+            let shape = TreeShape::new(levels, z);
+            let capacity = 1 + rng.below(130) as usize;
+            let mut s = Stash::new(capacity);
+            let leaf = LeafLabel::new(rng.below(shape.leaf_count()));
+            for i in 0..rng.below(2 * capacity as u64 + 1) {
+                // Labels near the eviction leaf fit deep; others shallow.
+                let spread = 1u64 << rng.below(u64::from(levels) + 1);
+                let label = LeafLabel::new(leaf.raw() ^ rng.below(spread));
+                let mut blk = Block::real(BlockAddr::new(rng.below(4 * capacity as u64)), label, i, 1);
+                if rng.gen_bool(0.2) {
+                    blk = blk.to_shadow();
+                }
+                s.insert(blk);
+                if rng.gen_bool(0.2) && s.peek(blk.addr).is_some() {
+                    s.mark_evicted(blk.addr);
+                }
+            }
+            s.plan_eviction(&shape, leaf);
+            for level in (0..=levels).rev() {
+                if rng.gen_bool(0.15) {
+                    continue;
+                }
+                for slot in 0..z {
+                    let want = s.select_for_eviction(&shape, leaf, level);
+                    let got = s.evict_planned(level);
+                    assert_eq!(
+                        got.map(|b| b.addr),
+                        want,
+                        "trial {trial}: L={levels} leaf {leaf} level {level} slot {slot}"
+                    );
+                    if let Some(b) = got {
+                        assert!(s.peek(b.addr).is_some_and(|e| e.replaceable), "pick marked evicted");
+                    }
+                }
+            }
+            s.check_invariants().expect("derived state matches slots");
+        }
     }
 
     #[test]
@@ -724,9 +839,30 @@ mod tests {
         assert_eq!(s.stats().max_occupied, 3);
     }
 
-    /// The linear scans the slot-class index replaced, kept as the
-    /// reference the indexed versions must agree with.
+    /// The linear scans the slot-class index replaced, and the per-slot
+    /// greedy the eviction plan replaced, kept as the references the
+    /// indexed and planned versions must agree with.
     impl Stash {
+        /// The live real block best suited for the bucket at `slot_level`
+        /// on the path to `eviction_leaf`: deepest common level with
+        /// `eviction_leaf`, then the lowest slot index. Walks the live-real
+        /// slots once per call, scoring each as `(common level, !slot)`
+        /// packed into one integer (zero when it does not fit).
+        fn select_for_eviction(
+            &self,
+            shape: &TreeShape,
+            eviction_leaf: LeafLabel,
+            slot_level: u32,
+        ) -> Option<BlockAddr> {
+            let mut best = 0u64;
+            for slot in self.classes[SlotClass::LiveReal as usize].iter() {
+                let cl = shape.common_level(eviction_leaf, self.entry(slot).block.label);
+                let score = (u64::from(cl) << 32) | u64::from(!(slot as u32));
+                best = best.max(if cl >= slot_level { score } else { 0 });
+            }
+            (best != 0).then(|| self.entry(!(best as u32) as usize).block.addr)
+        }
+
         fn select_for_eviction_linear(
             &self,
             shape: &TreeShape,
